@@ -9,13 +9,16 @@ ctest --test-dir build --output-on-failure
 
 # Robustness pass: the fault-injection / recoverable-error tests again
 # under AddressSanitizer + UBSan, so a recovered error path that leaks
-# or trips UB fails the run.
+# or trips UB fails the run. The cache, branch-predictor, hierarchy
+# and contention tests are here because checkpoint restore indexes
+# their arrays with values read from payload bytes.
 cmake -B build-asan -G Ninja -DHETSIM_SANITIZE="address;undefined"
 cmake --build build-asan --target test_status test_trace_file \
       test_fault_inject test_sweep test_result_store test_json \
-      test_server test_checkpoint
+      test_server test_checkpoint test_cache test_branch_pred \
+      test_hierarchy test_sync
 ctest --test-dir build-asan --output-on-failure \
-      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_json|test_server|test_checkpoint'
+      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_json|test_server|test_checkpoint|test_cache|test_branch_pred|test_hierarchy|test_sync'
 
 # Concurrency pass: the thread-pool, design-space-exploration, and
 # shared-memory contention tests under ThreadSanitizer, so a data race

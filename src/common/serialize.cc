@@ -169,4 +169,28 @@ Deserializer::fail(const char *what)
                              "checkpoint restore rejected: %s", what);
 }
 
+SparseIndexReader::SparseIndexReader(Deserializer &des, size_t capacity)
+    : des_(des), capacity_(capacity), remaining_(des.getU32())
+{
+    if (remaining_ > capacity_) {
+        des_.fail("sparse entry count above capacity");
+        remaining_ = 0;
+    }
+}
+
+bool
+SparseIndexReader::next(size_t &index)
+{
+    if (remaining_ == 0 || !des_.ok())
+        return false;
+    --remaining_;
+    index = des_.getU32();
+    if (index >= capacity_ || index < nextMin_) {
+        des_.fail("sparse entry index out of range or not ascending");
+        return false;
+    }
+    nextMin_ = index + 1;
+    return des_.ok();
+}
+
 } // namespace hetsim

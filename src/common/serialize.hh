@@ -197,6 +197,31 @@ class Deserializer
     Status err_;
 };
 
+/**
+ * Reader for a sparse array: a u32 count of live entries, then each
+ * entry's u32 array index in strictly ascending order, each followed
+ * by the entry's fields (which the caller reads). Components with
+ * large, mostly empty arrays (caches, the BTB) write only their live
+ * entries this way. A count above the array's capacity, or an index
+ * out of range or not above its predecessor, fails the Deserializer,
+ * so every index next() returns is safe to subscript with.
+ */
+class SparseIndexReader
+{
+  public:
+    SparseIndexReader(Deserializer &des, size_t capacity);
+
+    /** Read the next entry's index; false once every entry has been
+     *  read or the Deserializer has failed. */
+    bool next(size_t &index);
+
+  private:
+    Deserializer &des_;
+    size_t capacity_;
+    uint32_t remaining_;
+    size_t nextMin_ = 0; ///< Smallest index the next entry may have.
+};
+
 } // namespace hetsim
 
 #endif // HETSIM_COMMON_SERIALIZE_HH

@@ -48,8 +48,10 @@ namespace hetsim::core
 
 /** Bump when the checkpoint layout (header or any component section)
  *  changes; older files are quarantined, never reinterpreted.
- *  v2: sync-controller section + core barrier/sync park fields. */
-constexpr uint32_t kCheckpointSchemaVersion = 2;
+ *  v2: sync-controller section + core barrier/sync park fields.
+ *  v3: caches and the BTB write only live entries (sparse sections);
+ *      the chip section records the run loop's unfinished-core count. */
+constexpr uint32_t kCheckpointSchemaVersion = 3;
 
 /** Canonical checkpoint filename extension. */
 constexpr const char *kCheckpointSuffix = ".hckp";

@@ -1,5 +1,7 @@
 #include "cpu/branch_pred.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/serialize.hh"
 
@@ -228,11 +230,20 @@ BranchPredictor::saveState(Serializer &ser) const
     for (uint8_t c : chooser_)
         ser.putU8(c);
     ser.putU64(globalHistory_);
-    for (const BtbEntry &e : btb_) {
+    // Only valid BTB entries are written: lookups and the victim loop
+    // test `valid` first, and entries never go back to invalid.
+    uint32_t valid_entries = 0;
+    for (const BtbEntry &e : btb_)
+        valid_entries += e.valid ? 1 : 0;
+    ser.putU32(valid_entries);
+    for (uint32_t i = 0; i < btb_.size(); ++i) {
+        const BtbEntry &e = btb_[i];
+        if (!e.valid)
+            continue;
+        ser.putU32(i);
         ser.putU64(e.pc);
         ser.putU64(e.target);
         ser.putU64(e.lru);
-        ser.putBool(e.valid);
     }
     ser.putU64(btbLru_);
     for (uint64_t r : ras_)
@@ -264,11 +275,14 @@ BranchPredictor::restoreState(Deserializer &des)
     for (uint8_t &c : chooser_)
         c = des.getU8();
     globalHistory_ = des.getU64();
-    for (BtbEntry &e : btb_) {
+    std::fill(btb_.begin(), btb_.end(), BtbEntry{});
+    SparseIndexReader valid(des, btb_.size());
+    for (size_t i = 0; valid.next(i);) {
+        BtbEntry &e = btb_[i];
         e.pc = des.getU64();
         e.target = des.getU64();
         e.lru = des.getU64();
-        e.valid = des.getBool();
+        e.valid = true;
     }
     btbLru_ = des.getU64();
     for (uint64_t &r : ras_)

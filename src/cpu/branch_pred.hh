@@ -64,8 +64,9 @@ class BranchPredictor
     /** Misprediction rate over all lookups so far. */
     double mispredictRate() const;
 
-    /** Serialize every table (PHTs, chooser, BTB, RAS, histories)
-     *  and stats; restore requires identical geometry. */
+    /** Serialize every table (PHTs, chooser, RAS, histories), the
+     *  valid BTB entries, and stats; restore requires identical
+     *  geometry. */
     void saveState(Serializer &ser) const;
     void restoreState(Deserializer &des);
 

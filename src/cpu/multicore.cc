@@ -46,6 +46,7 @@ Multicore::Multicore(const MulticoreParams &params,
             cp, c, hier_.get(), traces[c]));
         cores_.back()->setSyncController(sync_.get());
     }
+    resumeRunning_ = cores_.size(); // a cold start runs every core
 }
 
 void
@@ -63,13 +64,11 @@ Multicore::run()
     mem::Cycle now = resumeCycle_;
     res.barrierReleases = resumeBarrierReleases_;
     res.skippedCycles = resumeSkippedCycles_;
-    // A restored chip may already have finished cores (or be entirely
-    // finished, when the checkpoint landed at completion); entering
-    // the loop then would tick the clock spuriously.
-    uint64_t running = 0;
-    for (auto &core : cores_)
-        if (!core->finished())
-            ++running;
+    // A restored chip resumes with the loop's own count, which can be
+    // stale: releasing the last barrier may finish every core after
+    // `running` was counted, and the uninterrupted loop then runs one
+    // more (empty) iteration before it exits.
+    uint64_t running = resumeRunning_;
 
     // Next periodic checkpoint cycle. Computed the same way at cold
     // start, after each save, and on resume, so an interrupted run
@@ -148,7 +147,7 @@ Multicore::run()
             }
             if (quiesced) {
                 Serializer ser;
-                saveState(ser, now, res);
+                saveState(ser, now, running, res);
                 hook_.save(now, ser.data());
                 for (auto &core : cores_)
                     core->setDrainGate(false);
@@ -294,12 +293,13 @@ Multicore::collectMemActivity(power::CpuActivity &activity) const
 }
 
 void
-Multicore::saveState(Serializer &ser, uint64_t now,
+Multicore::saveState(Serializer &ser, uint64_t now, uint64_t running,
                      const MulticoreResult &res) const
 {
     ser.beginSection("chip");
     ser.putU32(static_cast<uint32_t>(cores_.size()));
     ser.putU64(now);
+    ser.putU64(running);
     ser.putU64(res.barrierReleases);
     ser.putU64(res.skippedCycles);
     ser.endSection();
@@ -318,6 +318,11 @@ Multicore::restoreState(Deserializer &des)
         return false;
     }
     resumeCycle_ = des.getU64();
+    resumeRunning_ = des.getU64();
+    if (resumeRunning_ > cores_.size()) {
+        des.fail("running core count above core count");
+        return false;
+    }
     resumeBarrierReleases_ = des.getU64();
     resumeSkippedCycles_ = des.getU64();
     des.closeSection();

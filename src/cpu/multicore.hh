@@ -127,8 +127,9 @@ class Multicore
     /** Translate cache/ring stats into activity counts. */
     void collectMemActivity(power::CpuActivity &activity) const;
 
-    /** Serialize the full chip at a quiesce point. */
-    void saveState(Serializer &ser, uint64_t now,
+    /** Serialize the full chip at a quiesce point; `running` is the
+     *  run loop's unfinished-core count at that point. */
+    void saveState(Serializer &ser, uint64_t now, uint64_t running,
                    const MulticoreResult &res) const;
 
     MulticoreParams params_;
@@ -139,6 +140,7 @@ class Multicore
 
     /** Resume state loaded by restoreState(). */
     uint64_t resumeCycle_ = 0;
+    uint64_t resumeRunning_ = 0;
     uint64_t resumeBarrierReleases_ = 0;
     uint64_t resumeSkippedCycles_ = 0;
 };

@@ -287,7 +287,14 @@ Cache::saveState(Serializer &ser) const
     ser.putU32(numSets_);
     ser.putU32(params_.ways);
     ser.putU64(stampCounter_);
-    for (const Line &l : lines_) {
+    // Invalid lines are dead state (every reader tests valid() before
+    // a tag or stamp), so only resident lines are written.
+    ser.putU32(residentLines());
+    for (uint32_t i = 0; i < lines_.size(); ++i) {
+        const Line &l = lines_[i];
+        if (!l.valid())
+            continue;
+        ser.putU32(i);
         ser.putU64(l.tag);
         ser.putU8(static_cast<uint8_t>(l.state));
         ser.putBool(l.dirty);
@@ -307,11 +314,15 @@ Cache::restoreState(Deserializer &des)
         return;
     }
     stampCounter_ = des.getU64();
-    for (Line &l : lines_) {
+    std::fill(lines_.begin(), lines_.end(), Line{});
+    SparseIndexReader resident(des, lines_.size());
+    for (size_t i = 0; resident.next(i);) {
+        Line &l = lines_[i];
         l.tag = des.getU64();
         const uint8_t st = des.getU8();
-        if (st > static_cast<uint8_t>(CoherenceState::Modified)) {
-            des.fail("invalid coherence state");
+        if (st == static_cast<uint8_t>(CoherenceState::Invalid) ||
+            st > static_cast<uint8_t>(CoherenceState::Modified)) {
+            des.fail("resident line with invalid coherence state");
             return;
         }
         l.state = static_cast<CoherenceState>(st);

@@ -116,8 +116,10 @@ class Cache
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
 
-    /** Serialize the tag/state/LRU arrays and stats into a named
-     *  checkpoint section; restore requires identical geometry. */
+    /** Serialize the resident lines (tag, state, dirty, LRU stamp,
+     *  each keyed by its array index) and stats into a named
+     *  checkpoint section. Restore requires identical geometry,
+     *  empties the array, then applies the written lines. */
     void saveState(Serializer &ser) const;
     void restoreState(Deserializer &des);
 

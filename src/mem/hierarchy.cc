@@ -696,12 +696,30 @@ MemHierarchy::restoreState(Deserializer &des)
 
     des.openSection("directory");
     directory_.clear();
+    // Recalls index the private caches by owner and sharer bit, so
+    // an entry naming a core this chip lacks is rejected, as is an
+    // owner that is not the line's sole sharer.
+    const uint64_t all_cores = (uint64_t{1} << params_.numCores) - 1;
     const uint64_t n = des.getU64();
     for (uint64_t i = 0; i < n && des.ok(); ++i) {
         const Addr addr = des.getU64();
         DirEntry e;
         e.sharers = des.getU32();
-        e.owner = static_cast<int>(des.getI64());
+        const int64_t owner = des.getI64();
+        if (owner < -1 ||
+            owner >= static_cast<int64_t>(params_.numCores)) {
+            des.fail("directory owner out of range");
+            return;
+        }
+        e.owner = static_cast<int>(owner);
+        if ((e.sharers & ~all_cores) != 0) {
+            des.fail("directory sharer bit out of range");
+            return;
+        }
+        if (e.owner >= 0 && e.sharers != coreBit(e.owner)) {
+            des.fail("directory owner is not the sole sharer");
+            return;
+        }
         directory_.emplace(addr, e);
     }
     des.closeSection();

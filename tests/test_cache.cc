@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit and property tests for the set-associative cache, including
- * the asymmetric (fast-way) mode of the AdvHet DL1.
+ * the asymmetric (fast-way) mode of the AdvHet DL1 and the sparse
+ * checkpoint section.
  */
 
 #include <gtest/gtest.h>
@@ -9,10 +10,13 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/serialize.hh"
 #include "mem/cache.hh"
+#include "checkpoint_sections.hh"
 
 using namespace hetsim;
 using namespace hetsim::mem;
@@ -372,3 +376,193 @@ TEST_P(CacheRefModelTest, AsymmetricSameHitMissAsLru)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheRefModelTest,
                          ::testing::Values(1, 2, 3, 42, 99, 1234));
+
+// ---------------- Checkpoint section (resident lines only) --------
+
+namespace
+{
+
+using test::restoreSection;
+using test::savedSection;
+
+/** Random fills, hits, stores, downgrades and invalidations, so the
+ *  array holds lines in every valid state next to invalid lines that
+ *  keep stale tags and stamps. */
+void
+churn(Cache &c, Rng &rng, int steps)
+{
+    for (int i = 0; i < steps; ++i) {
+        const Addr a = lineAlign(rng.range(1 << 15));
+        switch (rng.range(8)) {
+          case 0:
+            c.invalidate(a);
+            break;
+          case 1:
+            c.downgradeToShared(a);
+            break;
+          default:
+            if (!c.access(a).hit) {
+                c.fill(a, rng.range(2) ? CoherenceState::Exclusive
+                                       : CoherenceState::Shared);
+            }
+            if (rng.range(4) == 0)
+                c.markDirty(a);
+            break;
+        }
+    }
+}
+
+} // namespace
+
+class CacheCheckpointTest : public ::testing::TestWithParam<bool>
+{
+};
+
+/** Save, restore into a fresh array: every probe, the re-saved bytes,
+ *  and every later victim choice match the original, although the
+ *  original's invalid lines still hold stale tags and stamps. */
+TEST_P(CacheCheckpointTest, RoundTripIsExact)
+{
+    const CacheParams params{"rt", 8192, 4, 64, GetParam()};
+    Cache orig(params);
+    Rng rng(17);
+    churn(orig, rng, 20000);
+    ASSERT_GT(orig.residentLines(), 0u);
+    ASSERT_LT(orig.residentLines(), orig.numSets() * params.ways);
+    ASSERT_GT(orig.stats().value("invalidations"), 0u);
+    if (params.asymmetric) {
+        ASSERT_GT(orig.stats().value("promotions"), 0u);
+    }
+
+    const std::string bytes = savedSection(orig);
+    Cache copy(params);
+    const Status st = restoreSection(copy, bytes);
+    ASSERT_TRUE(st.ok()) << st.toString();
+    EXPECT_EQ(savedSection(copy), bytes);
+    EXPECT_EQ(copy.residentAddrs(), orig.residentAddrs());
+    for (Addr a = 0; a < (1 << 15); a += 64) {
+        const LookupResult x = orig.probe(a);
+        const LookupResult y = copy.probe(a);
+        ASSERT_EQ(x.hit, y.hit) << a;
+        ASSERT_EQ(x.fastHit, y.fastHit) << a;
+        ASSERT_EQ(x.state, y.state) << a;
+    }
+
+    // Identical later traffic, including lines never seen before:
+    // every hit and every victim choice must agree.
+    for (int i = 0; i < 5000; ++i) {
+        const Addr a = lineAlign(rng.range(1 << 16));
+        const LookupResult x = orig.access(a);
+        const LookupResult y = copy.access(a);
+        ASSERT_EQ(x.hit, y.hit) << "step " << i;
+        ASSERT_EQ(x.fastHit, y.fastHit) << "step " << i;
+        if (x.hit)
+            continue;
+        const Eviction ex = orig.fill(a, CoherenceState::Shared);
+        const Eviction ey = copy.fill(a, CoherenceState::Shared);
+        ASSERT_EQ(ex.valid, ey.valid) << "step " << i;
+        ASSERT_EQ(ex.lineAddr, ey.lineAddr) << "step " << i;
+        ASSERT_EQ(ex.dirty, ey.dirty) << "step " << i;
+        ASSERT_EQ(ex.state, ey.state) << "step " << i;
+    }
+    EXPECT_EQ(savedSection(copy), savedSection(orig));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ways, CacheCheckpointTest, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool> &info) {
+        return info.param ? "Asymmetric" : "Uniform";
+    });
+
+/** The section's size follows the resident lines, not the geometry:
+ *  empty 32 KiB and 8 MiB arrays write the same number of bytes. */
+TEST(CacheCheckpoint, EmptySectionSizeIsIndependentOfGeometry)
+{
+    const Cache small({"c", 32 * 1024, 8, 64, false});
+    const Cache large({"c", 8 * 1024 * 1024, 16, 64, false});
+    EXPECT_EQ(savedSection(small).size(), savedSection(large).size());
+}
+
+namespace
+{
+
+struct CraftedLine
+{
+    uint32_t index;
+    uint8_t state;
+};
+
+/** A hand-built "cache" section in the sparse layout: geometry, stamp
+ *  counter, entry count, then (index, tag, state, dirty, stamp) per
+ *  entry, then the stats of a fresh cache. */
+std::string
+craftSection(const CacheParams &params, uint32_t count,
+             const std::vector<CraftedLine> &lines)
+{
+    const Cache fresh(params);
+    Serializer ser;
+    ser.beginSection("cache");
+    ser.putString(params.name);
+    ser.putU32(fresh.numSets());
+    ser.putU32(params.ways);
+    ser.putU64(64);
+    ser.putU32(count);
+    for (const CraftedLine &l : lines) {
+        ser.putU32(l.index);
+        ser.putU64(l.index + 1);
+        ser.putU8(l.state);
+        ser.putBool(false);
+        ser.putU64(l.index + 1);
+    }
+    fresh.stats().saveState(ser);
+    ser.endSection();
+    return ser.data();
+}
+
+} // namespace
+
+TEST(CacheCheckpoint, CraftedSectionsAreRejected)
+{
+    const CacheParams params = smallParams(); // 16 lines
+    const uint32_t capacity = 16;
+    const auto byte = [](CoherenceState s) {
+        return static_cast<uint8_t>(s);
+    };
+    const uint8_t shared = byte(CoherenceState::Shared);
+
+    // Control: the crafted layout is one restore accepts.
+    Cache control(params);
+    const Status good = restoreSection(
+        control,
+        craftSection(params, 2,
+                     {{3, shared}, {15, byte(CoherenceState::Modified)}}));
+    ASSERT_TRUE(good.ok()) << good.toString();
+    EXPECT_EQ(control.residentLines(), 2u);
+
+    struct Case
+    {
+        const char *what;
+        uint32_t count;
+        std::vector<CraftedLine> lines;
+        const char *error;
+    };
+    const std::vector<Case> cases = {
+        {"count above capacity", capacity + 1, {}, "count above"},
+        {"descending index", 2, {{9, shared}, {3, shared}},
+         "not ascending"},
+        {"repeated index", 2, {{3, shared}, {3, shared}},
+         "not ascending"},
+        {"index out of range", 1, {{capacity, shared}}, "out of range"},
+        {"invalid state", 1, {{3, byte(CoherenceState::Invalid)}},
+         "coherence state"},
+        {"unknown state", 1, {{3, 4}}, "coherence state"},
+    };
+    for (const Case &k : cases) {
+        Cache c(params);
+        const Status bad =
+            restoreSection(c, craftSection(params, k.count, k.lines));
+        EXPECT_FALSE(bad.ok()) << k.what;
+        EXPECT_NE(bad.message().find(k.error), std::string::npos)
+            << k.what << ": " << bad.toString();
+    }
+}

@@ -29,6 +29,7 @@
 #include "workload/fault_inject.hh"
 #include "workload/gpu_profiles.hh"
 #include "workload/trace_file.hh"
+#include "checkpoint_sections.hh"
 
 using namespace hetsim;
 using namespace hetsim::core;
@@ -560,6 +561,65 @@ TEST_F(CheckpointExperimentTest, CorruptCheckpointColdStartsCleanly)
     EXPECT_EQ(out.cycles, ref.cycles);
     EXPECT_EQ(report.toJson(), ref_report.toJson());
     EXPECT_TRUE(fileExists(path_ + ".quarantined"));
+}
+
+/** A checkpoint that passes every checksum but whose directory names
+ *  a core the chip lacks is refused at restore: the run cold-starts
+ *  (its first preempted segment stops at the first drain again) and
+ *  still finishes byte-identical to the uninterrupted run. */
+TEST_F(CheckpointExperimentTest, InconsistentDirectoryColdStarts)
+{
+    const auto &app = workload::cpuApp("lock_heavy");
+    ExperimentOptions opts = baseOpts();
+    opts.scale = 0.05;
+    opts.coresOverride = 4;
+    opts.checkpointKey = "cpu|BaseHet|lock_heavy|bad-directory";
+
+    ExperimentOptions ref_opts = opts;
+    ref_opts.checkpointPath = dir_ + "/ref" + kCheckpointSuffix;
+    obs::RunReport ref_report;
+    const CpuOutcome ref = runCpuExperiment(
+        CpuConfig::BaseHet, app, ref_opts, &ref_report);
+    ASSERT_FALSE(ref.preempted);
+
+    // Two preempted segments leave a checkpoint at the second drain.
+    g_test_preempt = 1;
+    opts.preempt = &g_test_preempt;
+    const CpuOutcome first =
+        runCpuExperiment(CpuConfig::BaseHet, app, opts);
+    const CpuOutcome second =
+        runCpuExperiment(CpuConfig::BaseHet, app, opts);
+    g_test_preempt = 0;
+    ASSERT_TRUE(first.preempted);
+    ASSERT_TRUE(second.preempted);
+    ASSERT_GT(second.cycles, first.cycles);
+
+    Result<LoadedCheckpoint> ckpt =
+        loadCheckpoint(path_, opts.checkpointKey);
+    ASSERT_TRUE(ckpt.ok()) << ckpt.status().toString();
+    std::string payload = ckpt->payload;
+    ASSERT_TRUE(test::rewriteSection(
+        payload, "directory", [](std::string &dir) {
+            ASSERT_GT(test::readLe(dir, 0, 8), 0u);
+            test::setDirEntry(dir, 0, 1u << 4, 4); // core 4 of 0..3
+        }));
+    ASSERT_TRUE(saveCheckpoint(path_, opts.checkpointKey, ckpt->cycle,
+                               payload)
+                    .ok());
+    ::unlink((path_ + kCheckpointPrevSuffix).c_str());
+
+    g_test_preempt = 1;
+    const CpuOutcome again =
+        runCpuExperiment(CpuConfig::BaseHet, app, opts);
+    g_test_preempt = 0;
+    EXPECT_TRUE(again.preempted);
+    EXPECT_EQ(again.cycles, first.cycles);
+
+    obs::RunReport report;
+    const CpuOutcome out =
+        runCpuExperiment(CpuConfig::BaseHet, app, opts, &report);
+    EXPECT_FALSE(out.preempted);
+    EXPECT_EQ(report.toJson(), ref_report.toJson());
 }
 
 /** A checkpoint saved under one identity must not leak into another

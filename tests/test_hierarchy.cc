@@ -2,13 +2,17 @@
  * @file
  * Unit, protocol, and property tests for the coherent memory
  * hierarchy (MESI directory, inclusive L3, prefetcher, asymmetric
- * DL1 latencies).
+ * DL1 latencies), and restore-time validation of its directory.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.hh"
 #include "mem/hierarchy.hh"
+#include "checkpoint_sections.hh"
 
 using namespace hetsim;
 using namespace hetsim::mem;
@@ -310,3 +314,57 @@ TEST_P(HierarchyPropertyTest, MixedPrivateSharedTraffic)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HierarchyPropertyTest,
                          ::testing::Values(1, 7, 21, 77, 424242));
+
+// -------------------- Checkpoint restore --------------------------
+
+/** Recalls index the private caches by directory owner and sharer
+ *  bit, so a checksum-valid payload whose directory names a core the
+ *  chip lacks, or an owner that is not the sole sharer, must be
+ *  rejected at restore. */
+TEST(HierarchyCheckpoint, RestoreRejectsInconsistentDirectoryEntries)
+{
+    const HierarchyParams p = smallParams(4);
+    MemHierarchy h(p);
+    Rng rng(3);
+    for (int i = 0; i < 4000; ++i) {
+        h.access(static_cast<uint32_t>(rng.range(4)),
+                 rng.range(64) * 64,
+                 rng.chance(0.5) ? AccessType::Load : AccessType::Store,
+                 i);
+    }
+    const std::string saved = test::savedSection(h);
+
+    struct Case
+    {
+        const char *what;
+        uint32_t sharers;
+        int64_t owner;
+        const char *error; ///< Empty: restore must succeed.
+    };
+    const std::vector<Case> cases = {
+        {"unowned, two sharers", 0b0011, -1, ""},
+        {"owner is the sole sharer", 0b0100, 2, ""},
+        {"owner past the last core", 0b10000, 4, "owner out of range"},
+        {"owner below -1", 0, -2, "owner out of range"},
+        {"sharer bit past the last core", 0b10001, -1,
+         "sharer bit out of range"},
+        {"owner not the sole sharer", 0b0011, 0, "not the sole sharer"},
+    };
+    for (const Case &k : cases) {
+        std::string bytes = saved;
+        ASSERT_TRUE(test::rewriteSection(
+            bytes, "directory", [&](std::string &payload) {
+                ASSERT_GT(test::readLe(payload, 0, 8), 0u);
+                test::setDirEntry(payload, 0, k.sharers, k.owner);
+            }));
+        MemHierarchy fresh(p);
+        const Status st = test::restoreSection(fresh, bytes);
+        if (*k.error == '\0') {
+            EXPECT_TRUE(st.ok()) << k.what << ": " << st.toString();
+        } else {
+            EXPECT_FALSE(st.ok()) << k.what;
+            EXPECT_NE(st.message().find(k.error), std::string::npos)
+                << k.what << ": " << st.toString();
+        }
+    }
+}

@@ -11,6 +11,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -537,45 +538,75 @@ TEST(ContentionEndToEnd, SkipAndNoSkipReportsAreByteIdentical)
 
 volatile sig_atomic_t g_sync_preempt = 0;
 
-TEST(ContentionEndToEnd, PreemptResumeOnContentionIsByteIdentical)
+using ResumeCase = std::tuple<const char *, CpuConfig>;
+
+class ContentionPreemptResume
+    : public ::testing::TestWithParam<ResumeCase>
 {
+};
+
+/** Preempt at every periodic drain and resume from each checkpoint
+ *  until the run completes: the final report must be byte-identical
+ *  to the uninterrupted run at the same cadence. The contended apps
+ *  save lock/barrier/park state mid-workload, and their coherence
+ *  invalidations and AdvHet fast-way swaps leave stale tags in
+ *  invalid lines, which the checkpoint does not carry. */
+TEST_P(ContentionPreemptResume, ResumingAtEveryDrainIsByteIdentical)
+{
+    const auto &[app_name, cfg] = GetParam();
+    const AppProfile &app = workload::cpuApp(app_name);
     char tmpl[] = "/tmp/hetsim_sync_ckpt_XXXXXX";
     ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    const std::string path =
-        std::string(tmpl) + "/run" + core::kCheckpointSuffix;
+    const std::string dir = tmpl;
 
     ExperimentOptions opts = contentionOpts();
-    opts.checkpointPath = path;
+    opts.checkpointPath = dir + "/ref" + core::kCheckpointSuffix;
     opts.checkpointEveryCycles = 2000;
-
     obs::RunReport ref_rep;
-    const CpuOutcome ref = runCpuExperiment(
-        CpuConfig::BaseHet, workload::cpuApp("barrier_sync"), opts,
-        &ref_rep);
+    const CpuOutcome ref = runCpuExperiment(cfg, app, opts, &ref_rep);
     ASSERT_FALSE(ref.preempted);
 
-    // Preempt (flag already set: the run drains at its first
-    // checkpoint poll, saving lock/barrier/park state mid-workload),
-    // then resume and finish.
+    // With the flag kept set, each call restores the last checkpoint,
+    // runs to the next drain, saves there and stops.
+    opts.checkpointPath = dir + "/run" + core::kCheckpointSuffix;
     g_sync_preempt = 1;
     opts.preempt = &g_sync_preempt;
-    const CpuOutcome cut = runCpuExperiment(
-        CpuConfig::BaseHet, workload::cpuApp("barrier_sync"), opts);
-    ASSERT_TRUE(cut.preempted);
-    EXPECT_LT(cut.cycles, ref.cycles);
-
+    const uint64_t max_segments =
+        ref.cycles / opts.checkpointEveryCycles + 2;
+    obs::RunReport rep;
+    CpuOutcome out;
+    uint64_t segments = 0, last_cut = 0;
+    do {
+        rep = obs::RunReport();
+        out = runCpuExperiment(cfg, app, opts, &rep);
+        ++segments;
+        if (out.preempted) {
+            EXPECT_GT(out.cycles, last_cut) << "segment " << segments;
+            last_cut = out.cycles;
+        }
+    } while (out.preempted && segments < max_segments);
     g_sync_preempt = 0;
-    obs::RunReport resumed_rep;
-    const CpuOutcome resumed = runCpuExperiment(
-        CpuConfig::BaseHet, workload::cpuApp("barrier_sync"), opts,
-        &resumed_rep);
-    EXPECT_FALSE(resumed.preempted);
-    EXPECT_EQ(resumed.cycles, ref.cycles);
-    EXPECT_EQ(resumed_rep.toJson(), ref_rep.toJson());
 
-    const std::string cmd = "rm -rf " + std::string(tmpl);
+    ASSERT_FALSE(out.preempted) << "unfinished after " << segments
+                                << " segments";
+    EXPECT_GT(segments, 2u);
+    EXPECT_EQ(out.cycles, ref.cycles);
+    EXPECT_EQ(rep.toJson(), ref_rep.toJson());
+
+    const std::string cmd = "rm -rf " + dir;
     (void)::system(cmd.c_str());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ContendedApps, ContentionPreemptResume,
+    ::testing::Combine(::testing::Values("barrier_sync", "false_share",
+                                         "lock_heavy", "fft"),
+                       ::testing::Values(CpuConfig::BaseHet,
+                                         CpuConfig::AdvHet)),
+    [](const ::testing::TestParamInfo<ResumeCase> &info) {
+        return std::string(std::get<0>(info.param)) + "_" +
+               core::cpuConfigName(std::get<1>(info.param));
+    });
 
 TEST(ContentionEndToEnd, ScratchpadWorkloadReportsScratchpadTraffic)
 {
