@@ -11,14 +11,16 @@ ctest --test-dir build --output-on-failure
 # under AddressSanitizer + UBSan, so a recovered error path that leaks
 # or trips UB fails the run. The cache, branch-predictor, hierarchy
 # and contention tests are here because checkpoint restore indexes
-# their arrays with values read from payload bytes.
+# their arrays with values read from payload bytes; the core,
+# multicore and skip tests because the core's ring queues index their
+# slots with computed offsets.
 cmake -B build-asan -G Ninja -DHETSIM_SANITIZE="address;undefined"
 cmake --build build-asan --target test_status test_trace_file \
       test_fault_inject test_sweep test_result_store test_json \
       test_server test_checkpoint test_cache test_branch_pred \
-      test_hierarchy test_sync
+      test_hierarchy test_sync test_ooo_core test_multicore test_skip
 ctest --test-dir build-asan --output-on-failure \
-      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_json|test_server|test_checkpoint|test_cache|test_branch_pred|test_hierarchy|test_sync'
+      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_json|test_server|test_checkpoint|test_cache|test_branch_pred|test_hierarchy|test_sync|test_ooo_core|test_multicore|test_skip'
 
 # Concurrency pass: the thread-pool, design-space-exploration, and
 # shared-memory contention tests under ThreadSanitizer, so a data race

@@ -53,7 +53,9 @@ OooCore::OooCore(const CoreParams &params, uint32_t core_id,
                  mem::MemHierarchy *hierarchy, TraceSource *trace)
     : params_(params), coreId_(core_id), hier_(hierarchy),
       trace_(trace), bpred_(params.bp), fuPool_(params.fu),
+      fetchQueue_(kFetchQueueCap), rob_(params.robSize),
       scoreboard_(kNumIntRegs + kNumFpRegs, 0),
+      storeQueue_(params.lsqSize),
       stats_("core." + std::to_string(core_id)), ctrs_(stats_)
 {
     hetsim_assert(hier_ != nullptr && trace_ != nullptr,
@@ -65,20 +67,6 @@ OooCore::OooCore(const CoreParams &params, uint32_t core_id,
     freeIntRegs_ = params_.intRegs - kNumIntRegs;
     freeFpRegs_ = params_.fpRegs - kNumFpRegs;
     iq_.reserve(params_.iqSize);
-}
-
-OooCore::RobEntry *
-OooCore::entryBySeq(uint64_t seq)
-{
-    if (rob_.empty() || seq < rob_.front().seq || seq > rob_.back().seq)
-        return nullptr;
-    return &rob_[seq - rob_.front().seq];
-}
-
-const OooCore::RobEntry *
-OooCore::entryBySeq(uint64_t seq) const
-{
-    return const_cast<OooCore *>(this)->entryBySeq(seq);
 }
 
 void
@@ -444,12 +432,12 @@ OooCore::dispatch(Cycle now)
             // then reads memory (no byte merging in the LSQ).
             const uint64_t lbeg = op.addr;
             const uint64_t lend = op.addr + op.accessSize;
-            for (auto it = storeQueue_.rbegin();
-                 it != storeQueue_.rend(); ++it) {
-                const uint64_t sbeg = it->addr;
-                const uint64_t send = it->addr + it->size;
+            for (size_t i = storeQueue_.size(); i-- > 0;) {
+                const StoreRec &s = storeQueue_[i];
+                const uint64_t sbeg = s.addr;
+                const uint64_t send = s.addr + s.size;
                 if (sbeg < lend && lbeg < send) {
-                    e.storeDep = it->seq;
+                    e.storeDep = s.seq;
                     e.forwardable = sbeg <= lbeg && lend <= send;
                     break;
                 }
@@ -483,7 +471,6 @@ OooCore::dispatch(Cycle now)
         fetchQueue_.pop_front();
         ++dispatched;
     }
-    (void)now;
 }
 
 void
@@ -698,16 +685,14 @@ OooCore::releaseBarrier()
 bool
 OooCore::checkDependencyOrder() const
 {
-    for (const RobEntry &e : rob_) {
-        if (e.dep1 >= e.seq || e.dep2 >= e.seq ||
-            e.storeDep >= e.seq) {
-            if (e.dep1 >= e.seq && e.dep1 != 0)
-                return false;
-            if (e.dep2 >= e.seq && e.dep2 != 0)
-                return false;
-            if (e.storeDep >= e.seq && e.storeDep != 0)
-                return false;
-        }
+    const uint64_t oldest = nextSeq_ - rob_.size();
+    for (size_t i = 0; i < rob_.size(); ++i) {
+        const RobEntry &e = rob_[i];
+        if (e.seq != oldest + i)
+            return false;
+        // Seq 0 ("no producer") passes: live seqs start at 1.
+        if (e.dep1 >= e.seq || e.dep2 >= e.seq || e.storeDep >= e.seq)
+            return false;
     }
     return true;
 }
@@ -715,9 +700,15 @@ OooCore::checkDependencyOrder() const
 bool
 OooCore::checkOccupancyBounds() const
 {
+    for (size_t i = 1; i < storeQueue_.size(); ++i) {
+        if (storeQueue_[i].seq <= storeQueue_[i - 1].seq)
+            return false;
+    }
     return iq_.size() <= params_.iqSize &&
         lsqCount_ <= params_.lsqSize &&
-        rob_.size() <= params_.robSize;
+        rob_.size() <= params_.robSize &&
+        storeQueue_.size() <= lsqCount_ &&
+        fetchQueue_.size() <= kFetchQueueCap;
 }
 
 namespace
@@ -769,7 +760,8 @@ OooCore::saveState(Serializer &ser) const
     ser.beginSection("core");
     ser.putU32(coreId_);
     ser.putU64(static_cast<uint64_t>(fetchQueue_.size()));
-    for (const FetchedOp &f : fetchQueue_) {
+    for (size_t i = 0; i < fetchQueue_.size(); ++i) {
+        const FetchedOp &f = fetchQueue_[i];
         putMicroOp(ser, f.op);
         ser.putBool(f.mispredicted);
     }

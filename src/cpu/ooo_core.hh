@@ -22,7 +22,6 @@
 #define HETSIM_CPU_OOO_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/stats.hh"
@@ -30,6 +29,7 @@
 #include "cpu/branch_pred.hh"
 #include "cpu/func_unit.hh"
 #include "cpu/microop.hh"
+#include "cpu/ring_queue.hh"
 #include "mem/hierarchy.hh"
 #include "power/accountant.hh"
 
@@ -177,10 +177,12 @@ class OooCore
     void attachTrace(obs::TraceBuffer *buf) { traceBuf_ = buf; }
 
     /** Invariant checks for property tests. @{ */
-    /** All in-flight producer seqs referenced by waiting ops are older
-     *  than the referencing op. */
+    /** ROB seqs are contiguous and ascending, ending at the last seq
+     *  dispatched (what the O(1) seq lookup relies on), and every
+     *  producer seq an op references is older than the op. */
     bool checkDependencyOrder() const;
-    /** IQ/LSQ occupancy within configured bounds. */
+    /** ROB/IQ/LSQ/fetch-queue occupancy within configured bounds, and
+     *  the store queue is a seq-ascending subset of the LSQ. */
     bool checkOccupancyBounds() const;
     /** @} */
 
@@ -223,8 +225,17 @@ class OooCore
     void issue(mem::Cycle now);
     void commit(mem::Cycle now);
 
-    RobEntry *entryBySeq(uint64_t seq);
-    const RobEntry *entryBySeq(uint64_t seq) const;
+    /** The ROB entry of `seq`, or null when it is not in flight
+     *  (committed, or 0 = no producer). ROB seqs are dense: dispatch
+     *  assigns nextSeq_++ at the tail, commit pops only the head, and
+     *  restore sets nextSeq_ only with the ROB empty. So the head holds
+     *  nextSeq_ - rob_.size(), and an unsigned offset outside
+     *  [0, size) is not in flight. */
+    RobEntry *entryBySeq(uint64_t seq)
+    {
+        const uint64_t i = seq - (nextSeq_ - rob_.size());
+        return i < rob_.size() ? &rob_[i] : nullptr;
+    }
     void countRegAccess(const MicroOp &op);
     DispatchGate dispatchGate() const;
 
@@ -243,7 +254,7 @@ class OooCore
     };
 
     // Front end.
-    std::deque<FetchedOp> fetchQueue_;
+    RingQueue<FetchedOp> fetchQueue_;
     bool haveStaged_ = false;
     MicroOp staged_;           ///< Op pulled from the trace, not yet
                                ///< accepted into the fetch queue.
@@ -256,7 +267,7 @@ class OooCore
     uint64_t traceConsumed_ = 0; ///< Successful trace_->next() calls.
 
     // Back end.
-    std::deque<RobEntry> rob_;
+    RingQueue<RobEntry> rob_;
     std::vector<uint64_t> iq_; ///< Seqs waiting to issue, program order.
     uint64_t nextSeq_ = 1;
     std::vector<uint64_t> scoreboard_; ///< Logical reg -> producer seq.
@@ -285,7 +296,7 @@ class OooCore
         uint64_t addr; ///< First byte written.
         uint8_t size;  ///< Bytes written.
     };
-    std::deque<StoreRec> storeQueue_;
+    RingQueue<StoreRec> storeQueue_; ///< In-flight stores, oldest first.
 
     uint64_t committedOps_ = 0;
     power::CpuActivity activity_{};

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
+
+#include "core/configs.hh"
+#include "core/experiment.hh"
 #include "cpu/multicore.hh"
 #include "workload/cpu_profiles.hh"
 #include "workload/cpu_trace_gen.hh"
@@ -13,6 +18,7 @@
 
 using namespace hetsim;
 using namespace hetsim::cpu;
+using hetsim::core::CpuConfig;
 using workload::VectorTrace;
 
 namespace
@@ -211,4 +217,114 @@ TEST(MulticoreDeath, TraceCountMismatch)
             (void)mc;
         },
         ::testing::KilledBySignal(SIGABRT), "one trace per core");
+}
+
+namespace
+{
+
+/** Core counters pinned per run, summed over the chip's cores. */
+constexpr const char *kPinnedCounters[] = {
+    "ticks", "rob_full_stalls", "iq_full_stalls", "lsq_full_stalls",
+    "forwarded_loads", "partial_forward_replays", "mispredict_redirects",
+    "rob_occ_cycles", "iq_occ_cycles", "lsq_occ_cycles",
+};
+
+/** Cycles, committed ops, then kPinnedCounters. */
+using PinnedValues = std::array<uint64_t, 2 + std::size(kPinnedCounters)>;
+
+PinnedValues
+measurePinned(CpuConfig config, const char *app)
+{
+    core::ExperimentOptions opts;
+    opts.scale = 0.02;
+    obs::RunReport rep;
+    const core::CpuOutcome out =
+        core::runCpuExperiment(config, workload::cpuApp(app), opts, &rep);
+    PinnedValues v{};
+    v[0] = out.cycles;
+    v[1] = out.committedOps;
+    for (const obs::GroupSnapshot &g : rep.groups) {
+        // Core groups are "core.<id>"; "core.<id>.fu_pool" etc. are not.
+        if (g.name.rfind("core.", 0) != 0 ||
+            g.name.find('.', 5) != std::string::npos)
+            continue;
+        for (const auto &[name, value] : g.counters) {
+            for (size_t i = 0; i < std::size(kPinnedCounters); ++i) {
+                if (name == kPinnedCounters[i])
+                    v[2 + i] += value;
+            }
+        }
+    }
+    return v;
+}
+
+} // namespace
+
+TEST(CpuModelPins, IntegerResultsMatchRecordedValues)
+{
+    // Exact integer results of the CPU model on four configurations
+    // (AdvHet has the 192-entry ROB, AdvHet-2X eight cores) and four
+    // apps (lock_heavy takes the SyncController path), recorded with
+    // the std::deque-based core. Integers only, so the pins do not
+    // depend on floating-point platform details.
+    const struct
+    {
+        CpuConfig config;
+        const char *app;
+        PinnedValues want;
+    } kPins[] = {
+        {CpuConfig::BaseCmos, "fft",
+         {10661, 15990, 42640, 0, 14962, 3438, 457, 0, 100, 2352773,
+          1432224, 994599}},
+        {CpuConfig::BaseCmos, "canneal",
+         {41063, 15996, 164248, 0, 495, 0, 14, 0, 877, 3016325, 2249873,
+          1154874}},
+        {CpuConfig::BaseCmos, "radix",
+         {27692, 16000, 110764, 0, 43588, 1449, 78, 0, 169, 4209357,
+          3703320, 1888935}},
+        {CpuConfig::BaseCmos, "lock_heavy",
+         {16390, 8000, 65556, 0, 0, 0, 51, 0, 492, 747734, 402326,
+          371160}},
+        {CpuConfig::BaseHet, "fft",
+         {12082, 15990, 48324, 0, 18692, 3524, 492, 0, 100, 2708578,
+          1704271, 1143542}},
+        {CpuConfig::BaseHet, "canneal",
+         {45890, 15996, 183556, 0, 563, 0, 23, 0, 877, 3357175, 2521941,
+          1282537}},
+        {CpuConfig::BaseHet, "radix",
+         {31334, 16000, 125332, 0, 51689, 1377, 106, 0, 169, 4867624,
+          4321025, 2177767}},
+        {CpuConfig::BaseHet, "lock_heavy",
+         {18288, 8000, 73148, 0, 0, 0, 55, 0, 492, 835507, 455523,
+          412014}},
+        {CpuConfig::AdvHet, "fft",
+         {11513, 15990, 46048, 0, 17255, 4679, 555, 0, 100, 2615684,
+          1588384, 1102907}},
+        {CpuConfig::AdvHet, "canneal",
+         {44086, 15996, 176340, 0, 544, 0, 22, 0, 877, 3265862, 2434211,
+          1246761}},
+        {CpuConfig::AdvHet, "radix",
+         {29949, 16000, 119792, 0, 48298, 1624, 110, 0, 169, 4615223,
+          4073046, 2064648}},
+        {CpuConfig::AdvHet, "lock_heavy",
+         {17639, 8000, 70552, 0, 0, 0, 57, 0, 492, 817242, 438584,
+          404426}},
+        {CpuConfig::AdvHet2X, "fft",
+         {8525, 15990, 68192, 0, 11260, 3347, 518, 0, 200, 2401469,
+          1396397, 1018520}},
+        {CpuConfig::AdvHet2X, "canneal",
+         {35522, 15984, 284168, 0, 114, 0, 17, 0, 945, 3668017, 2775608,
+          1412735}},
+        {CpuConfig::AdvHet2X, "radix",
+         {22465, 16000, 179712, 0, 50179, 1053, 78, 0, 237, 4944418,
+          4394302, 2244904}},
+        {CpuConfig::AdvHet2X, "lock_heavy",
+         {11560, 8000, 92472, 0, 0, 0, 63, 0, 510, 860382, 484008,
+          421240}},
+    };
+    for (const auto &pin : kPins) {
+        SCOPED_TRACE(std::string(core::cpuConfigName(pin.config)) + "/" +
+                     pin.app);
+        EXPECT_EQ(measurePinned(pin.config, pin.app), pin.want);
+    }
 }

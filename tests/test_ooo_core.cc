@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
 #include <memory>
 
 #include "common/rng.hh"
 #include "cpu/ooo_core.hh"
+#include "cpu/ring_queue.hh"
 #include "mem/hierarchy.hh"
 #include "workload/vector_trace.hh"
 
@@ -410,13 +413,14 @@ TEST(OooCore, NoSteeringWithoutConsumers)
 
 // ------------------------- Property tests -------------------------
 
-class OooCorePropertyTest : public ::testing::TestWithParam<uint64_t>
+namespace
 {
-};
 
-TEST_P(OooCorePropertyTest, RandomProgramsCommitCompletely)
+/** A random 3000-op program mixing every op class the core models. */
+std::vector<MicroOp>
+randomProgram(uint64_t seed)
 {
-    Rng rng(GetParam());
+    Rng rng(seed);
     std::vector<MicroOp> ops;
     uint64_t pc = 0x1000;
     const int n = 3000;
@@ -464,21 +468,61 @@ TEST_P(OooCorePropertyTest, RandomProgramsCommitCompletely)
         }
         ops.push_back(op);
     }
+    return ops;
+}
 
-    CoreRig rig(ops);
+/** Run to completion, checking the core's invariants every cycle;
+ *  returns the cycle count. */
+uint64_t
+runChecked(OooCore &core)
+{
     mem::Cycle now = 0;
-    while (!rig.core.finished() && now < 1000000) {
-        rig.core.tick(now);
+    while (!core.finished() && now < 1000000) {
+        core.tick(now);
         ++now;
-        if (now % 512 == 0) {
-            ASSERT_TRUE(rig.core.checkDependencyOrder());
-            ASSERT_TRUE(rig.core.checkOccupancyBounds());
-        }
+        EXPECT_TRUE(core.checkDependencyOrder()) << "cycle " << now;
+        EXPECT_TRUE(core.checkOccupancyBounds()) << "cycle " << now;
+        if (::testing::Test::HasFailure())
+            break;
     }
-    EXPECT_TRUE(rig.core.finished());
+    EXPECT_TRUE(core.finished());
+    return now;
+}
+
+} // namespace
+
+class OooCorePropertyTest : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(OooCorePropertyTest, RandomProgramsCommitCompletely)
+{
+    const std::vector<MicroOp> ops = randomProgram(GetParam());
+    CoreRig rig(ops);
+    const uint64_t cycles = runChecked(rig.core);
     EXPECT_EQ(rig.core.committedOps(), ops.size());
     // IPC can never exceed the machine width.
-    EXPECT_GE(now * 4, ops.size());
+    EXPECT_GE(cycles * 4, ops.size());
+}
+
+TEST_P(OooCorePropertyTest, TinyQueuesWrap)
+{
+    // A 5-entry ROB, 4-entry IQ and 3-entry LSQ: over a 3000-op
+    // program each ring queue (ROB, store queue, 16-entry fetch queue)
+    // wraps at least a hundred times. The cycle counts were recorded
+    // with the std::deque-based core.
+    CoreParams params;
+    params.robSize = 5;
+    params.iqSize = 4;
+    params.lsqSize = 3;
+    const std::vector<MicroOp> ops = randomProgram(GetParam());
+    CoreRig rig(ops, params);
+    const std::map<uint64_t, uint64_t> kCycles = {
+        {1, 30797}, {2, 28775}, {3, 30689}, {5, 30549},
+        {8, 29180}, {13, 28733}, {21, 28333}, {42, 29192},
+    };
+    EXPECT_EQ(runChecked(rig.core), kCycles.at(GetParam()));
+    EXPECT_EQ(rig.core.committedOps(), ops.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OooCorePropertyTest,
@@ -531,4 +575,62 @@ TEST(OooCore, IncrementalOccupancyMatchesPerCycleWalk)
     EXPECT_GT(rob_occ, 0u);
     EXPECT_GT(iq_occ, 0u);
     EXPECT_GT(lsq_occ, 0u);
+}
+
+// --------------------------- Ring queue ---------------------------
+
+TEST(RingQueue, IndexesFromTheOldestAcrossTheWrapPoint)
+{
+    RingQueue<int> ring(3);
+    for (int v : {1, 2, 3})
+        ring.push_back(v);
+    ring.pop_front();
+    ring.pop_front();
+    ring.push_back(4); // wraps to slot 0
+    ring.push_back(5);
+    ASSERT_EQ(ring.size(), 3u);
+    EXPECT_EQ(ring.front(), 3);
+    EXPECT_EQ(ring[1], 4);
+    EXPECT_EQ(ring[2], 5);
+    EXPECT_EQ(ring.back(), 5);
+
+    ring.clear();
+    EXPECT_TRUE(ring.empty());
+    ring.push_back(6);
+    EXPECT_EQ(ring.front(), 6);
+    EXPECT_EQ(ring.back(), 6);
+}
+
+TEST(RingQueue, MatchesDequeOverARandomWalk)
+{
+    // Capacity 5 is not a power of two, so a masked wrap would fail;
+    // the walk crosses the wrap point thousands of times.
+    RingQueue<int> ring(5);
+    std::deque<int> ref;
+    Rng rng(11);
+    int next = 0;
+    for (int step = 0; step < 20000; ++step) {
+        if (ref.size() < 5 && (ref.empty() || rng.chance(0.5))) {
+            ring.push_back(next);
+            ref.push_back(next++);
+        } else {
+            ring.pop_front();
+            ref.pop_front();
+        }
+        ASSERT_EQ(ring.size(), ref.size());
+        for (size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(ring[i], ref[i]) << "step " << step;
+        if (!ref.empty()) {
+            ASSERT_EQ(ring.front(), ref.front());
+            ASSERT_EQ(ring.back(), ref.back());
+        }
+    }
+}
+
+TEST(RingQueueDeathTest, OverflowPanics)
+{
+    RingQueue<int> ring(3);
+    for (int v : {1, 2, 3})
+        ring.push_back(v);
+    EXPECT_DEATH(ring.push_back(4), "ring queue overflow");
 }
