@@ -13,14 +13,17 @@ ctest --test-dir build --output-on-failure
 # and contention tests are here because checkpoint restore indexes
 # their arrays with values read from payload bytes; the core,
 # multicore and skip tests because the core's ring queues index their
-# slots with computed offsets.
+# slots with computed offsets; the GPU, wavefront and RF-cache tests
+# because the GPU run loop indexes per-CU wake cycles and each CU
+# keeps an occupied-slot count.
 cmake -B build-asan -G Ninja -DHETSIM_SANITIZE="address;undefined"
 cmake --build build-asan --target test_status test_trace_file \
       test_fault_inject test_sweep test_result_store test_json \
       test_server test_checkpoint test_cache test_branch_pred \
-      test_hierarchy test_sync test_ooo_core test_multicore test_skip
+      test_hierarchy test_sync test_ooo_core test_multicore test_skip \
+      test_gpu test_wavefront test_rf_cache
 ctest --test-dir build-asan --output-on-failure \
-      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_json|test_server|test_checkpoint|test_cache|test_branch_pred|test_hierarchy|test_sync|test_ooo_core|test_multicore|test_skip'
+      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_json|test_server|test_checkpoint|test_cache|test_branch_pred|test_hierarchy|test_sync|test_ooo_core|test_multicore|test_skip|test_gpu|test_wavefront|test_rf_cache'
 
 # Concurrency pass: the thread-pool, design-space-exploration, and
 # shared-memory contention tests under ThreadSanitizer, so a data race

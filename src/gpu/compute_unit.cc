@@ -49,16 +49,6 @@ ComputeUnit::ComputeUnit(const CuParams &params, uint32_t cu_id,
     groups_.resize(params_.maxWavefronts);
 }
 
-uint32_t
-ComputeUnit::freeSlots() const
-{
-    uint32_t n = 0;
-    for (const Wavefront &wf : slots_)
-        if (wf.state() == WavefrontState::Idle)
-            ++n;
-    return n;
-}
-
 void
 ComputeUnit::launchWorkgroup(GpuKernel &kernel, uint32_t workgroup)
 {
@@ -83,7 +73,7 @@ ComputeUnit::launchWorkgroup(GpuKernel &kernel, uint32_t workgroup)
         wf.assign(kernel.makeWavefront(workgroup, launched), gslot);
         ++launched;
     }
-    horizonDirty_ = true;
+    occupied_ += wpg;
     ++ctrs_.workgroupsLaunched;
 }
 
@@ -132,17 +122,39 @@ ComputeUnit::writeLatency(Wavefront &wf, int16_t vreg)
     return t.rfLat;
 }
 
+Cycle
+ComputeUnit::portFreeAt(GpuOpClass cls) const
+{
+    switch (cls) {
+      case GpuOpClass::VAlu:
+        return simdFreeAt_;
+      case GpuOpClass::SAlu:
+        return saluFreeAt_;
+      case GpuOpClass::LdsOp:
+        return ldsFreeAt_;
+      case GpuOpClass::VLoad:
+      case GpuOpClass::VStore:
+        return memFreeAt_;
+      case GpuOpClass::SBarrier:
+        break;
+    }
+    return 0;
+}
+
 bool
 ComputeUnit::tryIssue(Wavefront &wf, Cycle now)
 {
     const GpuOp &op = wf.currentOp();
     const GpuTimings &t = params_.timings;
 
+    // A busy port refuses the op before any side effect, which is
+    // what lets a CU sleep until nextEventCycle().
+    if (portFreeAt(op.cls) > now)
+        return false;
+
     switch (op.cls) {
       case GpuOpClass::VAlu:
       {
-        if (simdFreeAt_ > now)
-            return false;
         // Operand collection through the banked vector RF gates the
         // SIMD pipe: each source is read through a bank port, so a
         // 3-operand FMA occupies the unit for the larger of its
@@ -173,8 +185,6 @@ ComputeUnit::tryIssue(Wavefront &wf, Cycle now)
 
       case GpuOpClass::SAlu:
       {
-        if (saluFreeAt_ > now)
-            return false;
         saluFreeAt_ = now + 1;
         ++activity_[unitIdx(GpuUnit::Salu)];
         wf.completeIssue(now, now + t.saluLat);
@@ -183,8 +193,6 @@ ComputeUnit::tryIssue(Wavefront &wf, Cycle now)
 
       case GpuOpClass::LdsOp:
       {
-        if (ldsFreeAt_ > now)
-            return false;
         uint32_t read_sum = 0, read_max = 0;
         for (int i = 0; i < op.numSrcs; ++i) {
             const uint32_t lat = readLatency(wf, op.src[i]);
@@ -202,8 +210,6 @@ ComputeUnit::tryIssue(Wavefront &wf, Cycle now)
       case GpuOpClass::VLoad:
       case GpuOpClass::VStore:
       {
-        if (memFreeAt_ > now)
-            return false;
         const bool is_store = op.cls == GpuOpClass::VStore;
         uint32_t read_sum = 0, read_lat = 0;
         for (int i = 0; i < op.numSrcs; ++i) {
@@ -286,6 +292,7 @@ ComputeUnit::reapFinished()
             ++ctrs_.workgroupsRetired;
         }
         wf.release();
+        --occupied_;
     }
     return reaped;
 }
@@ -317,9 +324,6 @@ ComputeUnit::tick(Cycle now)
     }
     progress |= checkBarriers();
     progress |= reapFinished();
-    ++activity_[unitIdx(GpuUnit::ClockTree)];
-    if (progress)
-        horizonDirty_ = true;
     return progress;
 }
 
@@ -329,33 +333,23 @@ ComputeUnit::nextEventCycle(Cycle from) const
     // Only Active wavefronts act on their own. AtBarrier slots wake
     // through another wavefront's issue reaching the barrier, Done
     // slots are reaped in the tick that completes them, and Idle
-    // slots wait for an external launch.
-    if (horizonDirty_) {
-        minReady_ = mem::kNoEvent;
-        for (const Wavefront &wf : slots_) {
-            if (wf.state() != WavefrontState::Active)
-                continue;
-            minReady_ = std::min(minReady_, wf.nextReadyCycle());
-        }
-        horizonDirty_ = false;
+    // slots wait for an external launch. Port free cycles move only
+    // when an op issues, which is progress, after which the run loop
+    // ticks the CU again anyway.
+    Cycle next = mem::kNoEvent;
+    for (const Wavefront &wf : slots_) {
+        if (wf.state() != WavefrontState::Active)
+            continue;
+        next = std::min(next, std::max(wf.nextReadyCycle(),
+                                       portFreeAt(wf.currentOp().cls)));
     }
-    return minReady_ == mem::kNoEvent ? mem::kNoEvent
-                                      : std::max(from, minReady_);
+    return next == mem::kNoEvent ? next : std::max(from, next);
 }
 
 void
-ComputeUnit::creditIdleTicks(uint64_t n)
+ComputeUnit::creditCycles(uint64_t n)
 {
     activity_[unitIdx(GpuUnit::ClockTree)] += n;
-}
-
-bool
-ComputeUnit::idle() const
-{
-    for (const Wavefront &wf : slots_)
-        if (wf.state() != WavefrontState::Idle)
-            return false;
-    return true;
 }
 
 void
@@ -394,7 +388,6 @@ ComputeUnit::restoreState(Deserializer &des)
         a = des.getU64();
     stats_.restoreState(des);
     des.closeSection();
-    horizonDirty_ = true; // recompute from restored wavefront state
 }
 
 } // namespace hetsim::gpu

@@ -78,34 +78,38 @@ class ComputeUnit
                 GpuMemInterface *mem);
 
     /** Number of free wavefront slots. */
-    uint32_t freeSlots() const;
+    uint32_t freeSlots() const
+    {
+        return static_cast<uint32_t>(slots_.size()) - occupied_;
+    }
 
     /** Launch one workgroup's wavefronts onto free slots.
      *  Requires freeSlots() >= kernel.wavefrontsPerGroup(). */
     void launchWorkgroup(GpuKernel &kernel, uint32_t workgroup);
 
     /** Advance one cycle. Returns true if the tick issued an op,
-     *  released a barrier, or reaped a wavefront (a progress hint the
-     *  run loop uses to decide when the event horizon is worth
-     *  computing). */
+     *  released a barrier, or reaped a wavefront. A tick that returns
+     *  false changed nothing, so the run loop may leave the CU asleep
+     *  until nextEventCycle(). */
     bool tick(Cycle now);
 
     /**
-     * Event horizon: the earliest cycle >= `from` at which any
-     * resident wavefront can issue (a safe lower bound; execution
-     * ports are ignored). mem::kNoEvent when no wavefront is Active —
-     * notably for a fully idle() CU, which is what lets the run loop
-     * fast-forward an all-idle CU set to the next memory response.
-     * Every skipped tick would only have bumped the clock-tree
-     * activity, which creditIdleTicks() reproduces.
+     * Event horizon, valid after a tick that returned false: the
+     * earliest cycle >= `from` at which a resident wavefront can
+     * issue, i.e. its operands are ready and the execution port its
+     * staged op needs is free. mem::kNoEvent when no wavefront is
+     * Active, notably for an idle() CU, which only a launch wakes.
+     * Exact: at that cycle some wavefront issues.
      */
     Cycle nextEventCycle(Cycle from) const;
 
-    /** Account `n` skipped ticks (clock tree toggles every cycle). */
-    void creditIdleTicks(uint64_t n);
+    /** Account `n` elapsed cycles. The clock tree toggles once per
+     *  cycle whether or not the CU was ticked, so the run loop
+     *  credits it by arithmetic rather than per tick. */
+    void creditCycles(uint64_t n);
 
     /** True when no wavefront is resident. */
-    bool idle() const;
+    bool idle() const { return occupied_ == 0; }
 
     uint64_t issuedOps() const { return issuedOps_; }
     const power::GpuActivity &activity() const { return activity_; }
@@ -131,6 +135,10 @@ class ComputeUnit
     /** Issue the staged op of wavefront `w`; true on success. */
     bool tryIssue(Wavefront &wf, Cycle now);
 
+    /** First cycle the execution port an op of class `cls` needs is
+     *  free. */
+    Cycle portFreeAt(GpuOpClass cls) const;
+
     /** Operand read latency of one source register. */
     uint32_t readLatency(Wavefront &wf, int16_t vreg);
 
@@ -155,17 +163,8 @@ class ComputeUnit
     Cycle saluFreeAt_ = 0;
     Cycle ldsFreeAt_ = 0;
     Cycle memFreeAt_ = 0;
-    uint32_t rrNext_ = 0; ///< Round-robin scheduling pointer.
-    /** Cached horizon: minimum nextReadyCycle() over Active
-     *  wavefronts (absolute cycle, mem::kNoEvent when none are
-     *  Active). Wavefront timing state only changes on launches and
-     *  progress ticks, so the cache stays valid across the no-progress
-     *  ticks where the run loop actually asks for the horizon --
-     *  notably port-bound stretches, where a ready-but-blocked
-     *  wavefront pins the horizon at `now` every tick. @{ */
-    mutable Cycle minReady_ = 0;
-    mutable bool horizonDirty_ = true;
-    /** @} */
+    uint32_t rrNext_ = 0;   ///< Round-robin scheduling pointer.
+    uint32_t occupied_ = 0; ///< Slots not Idle.
     uint64_t issuedOps_ = 0;
     power::GpuActivity activity_{};
     StatGroup stats_;

@@ -93,6 +93,23 @@ Gpu::run(GpuKernel &kernel)
     bool timed_out = false;
     bool preempted = false;
     uint64_t skipped = resumeSkipped_;
+    uint64_t cu_ticks = 0;
+
+    // The clock tree toggles once per CU per cycle, ticked or not, so
+    // it is credited by arithmetic whenever activity is read: before
+    // each checkpoint save and at exit.
+    Cycle clocked = now;
+    auto credit_clock = [&] {
+        for (auto &cu : cus_)
+            cu->creditCycles(now - clocked);
+        clocked = now;
+    };
+
+    // Skip path: a CU is ticked only once `now` reaches its wake
+    // cycle, before which its tick could change nothing. All start
+    // awake, so the first tick rebuilds each wake from the CU's
+    // (possibly restored) state.
+    std::vector<Cycle> wake(cus_.size(), now);
 
     // Next periodic checkpoint cycle; same formula at cold start,
     // after each save, and on resume (see CheckpointHook).
@@ -126,21 +143,30 @@ Gpu::run(GpuKernel &kernel)
         // Dispatch: each CU may receive one workgroup per cycle
         // (gated while a checkpoint drain is in progress).
         if (!draining) {
-            for (auto &cu : cus_) {
-                if (next_group >= total_groups)
-                    break;
-                if (cu->freeSlots() >= wpg) {
-                    cu->launchWorkgroup(kernel, next_group);
-                    ++next_group;
+            for (uint32_t c = 0;
+                 c < cus_.size() && next_group < total_groups; ++c) {
+                if (cus_[c]->freeSlots() >= wpg) {
+                    cus_[c]->launchWorkgroup(kernel, next_group++);
+                    wake[c] = now;
                 }
             }
         }
 
         bool all_idle = true;
-        bool any_progress = false;
-        for (auto &cu : cus_) {
-            any_progress |= cu->tick(now);
-            all_idle = all_idle && cu->idle();
+        bool slot_free = false; // some CU could take a workgroup
+        Cycle next_wake = mem::kNoEvent;
+        for (uint32_t c = 0; c < cus_.size(); ++c) {
+            ComputeUnit &cu = *cus_[c];
+            if (!params_.skipEnabled || wake[c] <= now) {
+                ++cu_ticks;
+                if (cu.tick(now))
+                    wake[c] = now + 1;
+                else if (params_.skipEnabled)
+                    wake[c] = cu.nextEventCycle(now + 1);
+            }
+            next_wake = std::min(next_wake, wake[c]);
+            all_idle = all_idle && cu.idle();
+            slot_free = slot_free || cu.freeSlots() >= wpg;
         }
         ++now;
 
@@ -148,6 +174,7 @@ Gpu::run(GpuKernel &kernel)
             break;
 
         if (draining && all_idle) {
+            credit_clock();
             Serializer ser;
             saveState(ser, now, next_group, skipped);
             hook_.save(now, ser.data());
@@ -162,54 +189,33 @@ Gpu::run(GpuKernel &kernel)
             continue; // re-enter with launches ungated
         }
 
-        // The horizon is only worth computing once a whole tick
-        // passes without an issue, release, or reap: during active
-        // phases it is almost always `now`, so walking every
-        // wavefront for it would be pure overhead.
-        if (params_.skipEnabled && !any_progress) {
-            // Event horizon: the earliest cycle any wavefront can
-            // issue. Launches block skipping: a CU with free slots
-            // and pending workgroups acts next cycle.
-            Cycle target = mem::kNoEvent;
-            for (auto &cu : cus_) {
-                target = std::min(target, cu->nextEventCycle(now));
-                if (target == now)
-                    break; // no skip possible; stop walking
-            }
-            // Launches are gated during a drain, so a free slot must
-            // not pin the horizon then — the drain itself skips
-            // forward through the resident wavefronts' memory waits.
-            if (!draining && next_group < total_groups &&
-                target > now) {
-                for (auto &cu : cus_) {
-                    if (cu->freeSlots() >= wpg) {
-                        target = now;
-                        break;
-                    }
-                }
-            }
+        if (params_.skipEnabled) {
+            // Jump to the earliest wake. A free slot pins the clock
+            // while workgroups are pending: the next cycle launches
+            // one. Launches are gated during a drain, so the drain
+            // itself skips forward through the resident wavefronts'
+            // memory waits.
+            if (!draining && next_group < total_groups && slot_free)
+                next_wake = now;
             // Never skip past where the reference loop would stop. A
             // kNoEvent horizon (a deadlocked kernel) degenerates to a
             // jump to that same stopping point.
             const Cycle limit = params_.watchdogCycles > 0
                 ? params_.watchdogCycles : params_.maxCycles;
-            if (target > limit)
-                target = limit;
-            if (target > now) {
-                // Every skipped tick is issue-free on every CU: only
-                // the per-cycle clock-tree toggle needs crediting.
-                for (auto &cu : cus_)
-                    cu->creditIdleTicks(target - now);
-                skipped += target - now;
-                now = target;
+            next_wake = std::min(next_wake, limit);
+            if (next_wake > now) {
+                skipped += next_wake - now;
+                now = next_wake;
             }
         }
     }
+    credit_clock();
 
     GpuResult res;
     res.timedOut = timed_out;
     res.preempted = preempted;
     res.skippedCycles = skipped;
+    res.cuTicks = cu_ticks;
     res.cycles = now;
     res.seconds = power::secondsAtFreq(now, params_.freqGhz);
     for (auto &cu : cus_) {

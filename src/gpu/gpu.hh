@@ -42,10 +42,11 @@ struct GpuParams
     /** Recoverable cycle watchdog: when non-zero, run() stops at this
      *  many cycles and reports timedOut instead of panicking. */
     uint64_t watchdogCycles = 0;
-    /** Event-horizon cycle skipping: when no CU can issue until cycle
-     *  C and no workgroup launch is pending, jump the clock to C and
-     *  credit the skipped clock-tree ticks. Reports are bit-identical
-     *  either way; off is the `--no-skip` reference behavior. */
+    /** Event-horizon scheduling: tick each CU only from the cycle it
+     *  can next act, and jump the clock to the earliest such cycle
+     *  when no workgroup launch is pending. Reports are bit-identical
+     *  either way; off is the `--no-skip` reference loop, which ticks
+     *  every CU every cycle. */
     bool skipEnabled = true;
 };
 
@@ -59,6 +60,10 @@ struct GpuResult
     /** Cycles fast-forwarded by the event-horizon scheduler
      *  (introspection only; deliberately not part of run reports). */
     uint64_t skippedCycles = 0;
+    /** CU ticks this run() call executed; numCus x cycles on the
+     *  reference loop (introspection only, like skippedCycles, but
+     *  not carried across a checkpoint). */
+    uint64_t cuTicks = 0;
     /** True when the run was cut short by watchdogCycles. */
     bool timedOut = false;
     /** True when the run stopped at a preemption checkpoint. */
@@ -70,6 +75,12 @@ class GpuMemSystem : public GpuMemInterface
 {
   public:
     explicit GpuMemSystem(const GpuParams &params);
+
+    /** Holds a reference to its params, and every CU of the owning
+     *  Gpu holds its address, so it never moves (deleting the copies
+     *  also removes the implicit moves). */
+    GpuMemSystem(const GpuMemSystem &) = delete;
+    GpuMemSystem &operator=(const GpuMemSystem &) = delete;
 
     uint32_t access(uint32_t cu, uint64_t addr, bool is_store,
                     Cycle now) override;
@@ -94,6 +105,11 @@ class Gpu
 {
   public:
     explicit Gpu(const GpuParams &params);
+
+    /** Every CU holds a pointer to mem_, so a Gpu never moves
+     *  (deleting the copies also removes the implicit moves). */
+    Gpu(const Gpu &) = delete;
+    Gpu &operator=(const Gpu &) = delete;
 
     /** Run one kernel to completion. */
     GpuResult run(GpuKernel &kernel);

@@ -59,8 +59,8 @@ class Wavefront
 
     /** Earliest cycle canIssue() can become true: the one-issue-per-
      *  cycle gate joined with the staged op's source readiness. Valid
-     *  while Active; execution-port availability is not included, so
-     *  this is a safe lower bound for the event-horizon scheduler. */
+     *  while Active. Execution-port availability is not included;
+     *  ComputeUnit::nextEventCycle() adds it. */
     Cycle nextReadyCycle() const;
 
     /**

@@ -13,6 +13,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <csignal>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "core/checkpoint.hh"
 #include "core/experiment.hh"
@@ -525,6 +527,76 @@ TEST_F(CheckpointExperimentTest, GpuPreemptResumeIsByteIdentical)
     EXPECT_EQ(resumed_report.toJson(), ref_report.toJson());
     EXPECT_FALSE(fileExists(path_));
 }
+
+using GpuResumeCase = std::tuple<GpuConfig, const char *>;
+
+class GpuPreemptResume
+    : public CheckpointExperimentTest,
+      public ::testing::WithParamInterface<GpuResumeCase>
+{
+};
+
+/** Preempt at every periodic drain and resume from each checkpoint
+ *  until the run completes: the final report must be byte-identical
+ *  to the uninterrupted run at the same cadence. Every segment starts
+ *  from restored, idle CUs, so the run loop must rebuild each CU's
+ *  wake cycle from that state; the barrier-heavy kernels drain with
+ *  wavefronts parked at barriers along the way. */
+TEST_P(GpuPreemptResume, ResumingAtEveryDrainIsByteIdentical)
+{
+    const auto &[cfg, kernel_name] = GetParam();
+    const auto &kernel = workload::gpuKernel(kernel_name);
+
+    ExperimentOptions ref_opts = baseOpts();
+    ref_opts.checkpointEveryCycles = 1000;
+    ref_opts.checkpointPath = dir_ + "/ref" + kCheckpointSuffix;
+    obs::RunReport ref_report;
+    const GpuOutcome ref =
+        runGpuExperiment(cfg, kernel, ref_opts, &ref_report);
+    ASSERT_FALSE(ref.preempted);
+
+    // With the flag kept set, each call restores the last checkpoint,
+    // runs to the next drain, saves there and stops.
+    ExperimentOptions opts = baseOpts();
+    opts.checkpointEveryCycles = 1000;
+    g_test_preempt = 1;
+    opts.preempt = &g_test_preempt;
+    const uint64_t max_segments =
+        ref.cycles / opts.checkpointEveryCycles + 2;
+    obs::RunReport report;
+    GpuOutcome out;
+    uint64_t segments = 0, last_cut = 0;
+    do {
+        report = obs::RunReport();
+        out = runGpuExperiment(cfg, kernel, opts, &report);
+        ++segments;
+        if (out.preempted) {
+            EXPECT_GT(out.cycles, last_cut) << "segment " << segments;
+            last_cut = out.cycles;
+        }
+    } while (out.preempted && segments < max_segments);
+    g_test_preempt = 0;
+
+    ASSERT_FALSE(out.preempted) << "unfinished after " << segments
+                                << " segments";
+    EXPECT_GT(segments, 2u);
+    EXPECT_EQ(out.cycles, ref.cycles);
+    EXPECT_EQ(report.toJson(), ref_report.toJson());
+    EXPECT_FALSE(fileExists(path_));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BarrierKernels, GpuPreemptResume,
+    ::testing::Combine(::testing::Values(GpuConfig::BaseHet,
+                                         GpuConfig::AdvHet2X),
+                       ::testing::Values("matrixmul", "bitonicsort")),
+    [](const ::testing::TestParamInfo<GpuResumeCase> &info) {
+        // "AdvHet-2X" is not a valid test name.
+        std::string name = gpuConfigName(std::get<0>(info.param));
+        name.erase(std::remove(name.begin(), name.end(), '-'),
+                   name.end());
+        return name + "_" + std::get<1>(info.param);
+    });
 
 /** A corrupt checkpoint must cost the saved progress, never the run:
  *  quarantine, cold start, and the report is still byte-identical. */

@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
+#include <string>
+#include <type_traits>
+
+#include "core/configs.hh"
 #include "gpu/gpu.hh"
 #include "workload/gpu_kernel_gen.hh"
 #include "workload/gpu_profiles.hh"
@@ -115,6 +121,11 @@ smallGpu(uint32_t cus = 2)
     return p;
 }
 
+// Every CU holds a pointer to its Gpu's memory system, which holds a
+// reference to the Gpu's params: neither may move.
+static_assert(!std::is_move_constructible_v<Gpu>);
+static_assert(!std::is_move_constructible_v<GpuMemSystem>);
+
 } // namespace
 
 TEST(Gpu, RunsKernelToCompletion)
@@ -183,6 +194,26 @@ TEST(Gpu, TfetRfGatesThroughput)
     const uint64_t tfet_cycles = g2.run(k).cycles;
 
     EXPECT_GT(tfet_cycles, cmos_cycles * 13 / 10);
+}
+
+TEST(Gpu, PortBoundCuSleepsUntilThePortFrees)
+{
+    // TFET RF without the RF cache: an FMA's three reads and one write
+    // at 2 cycles each hold the SIMD port for 8 cycles, twice its 4
+    // beats, so two wavefronts of dense FMAs are port-bound. After
+    // each issue the CU needs one tick to find the port busy; then it
+    // must sleep until the port frees rather than tick every cycle.
+    GpuParams p = smallGpu(1);
+    p.cu.timings.fmaLat = 6;
+    p.cu.timings.rfLat = 2;
+    FixedKernel k(denseProgram(300), 1, 2);
+    Gpu gpu(p);
+    const GpuResult res = gpu.run(k);
+    EXPECT_EQ(res.issuedOps, 600u);
+    // The run ends when the last FMA issues, not when it frees the
+    // port.
+    EXPECT_GE(res.cycles, 8u * 599u);
+    EXPECT_LE(res.cuTicks, 2 * res.issuedOps + 2);
 }
 
 TEST(Gpu, RfCacheRecoversTfetLoss)
@@ -348,4 +379,113 @@ TEST(GpuDeath, OversizedWorkgroupIsFatal)
     FixedKernel k(denseProgram(10), 1, 5); // > maxWavefronts (2)
     Gpu gpu(smallGpu(1));
     EXPECT_DEATH(gpu.run(k), "does not fit");
+}
+
+namespace
+{
+
+/** CU counters pinned per run, summed over the chip's CUs. */
+constexpr const char *kPinnedCuCounters[] = {
+    "rf_cache_read_hits", "rf_cache_read_misses", "vloads", "vstores",
+    "barrier_releases", "workgroups_launched", "workgroups_retired",
+};
+
+/** Cycles, issued ops, every GpuActivity entry, then
+ *  kPinnedCuCounters. */
+using GpuPinnedValues =
+    std::array<uint64_t, 2 + power::kNumGpuUnits +
+                             std::size(kPinnedCuCounters)>;
+
+GpuPinnedValues
+measureGpuPinned(core::GpuConfig config, const char *kernel)
+{
+    const core::GpuConfigBundle bundle = core::makeGpuConfig(config);
+    workload::SyntheticKernel k(workload::gpuKernel(kernel), 1, 0.05);
+    Gpu gpu(bundle.sim);
+    const GpuResult res = gpu.run(k);
+    GpuPinnedValues v{};
+    v[0] = res.cycles;
+    v[1] = res.issuedOps;
+    for (int i = 0; i < power::kNumGpuUnits; ++i)
+        v[2 + i] = res.activity[i];
+    for (uint32_t c = 0; c < gpu.numCus(); ++c) {
+        for (size_t i = 0; i < std::size(kPinnedCuCounters); ++i)
+            v[2 + power::kNumGpuUnits + i] +=
+                gpu.cu(c).stats().value(kPinnedCuCounters[i]);
+    }
+    return v;
+}
+
+} // namespace
+
+TEST(GpuModelPins, IntegerResultsMatchRecordedValues)
+{
+    // Exact integer results of the GPU model on four configurations
+    // (BaseTFET runs at half clock, AdvHet has the RF cache,
+    // AdvHet-2X 16 CUs) and four kernels: matrixmul (4 barriers),
+    // blackscholes (none), bitonicsort (6) and histogram (scatter
+    // loads). Recorded with the loop that ticked every CU every
+    // cycle. Integers only, so the pins do not depend on
+    // floating-point platform details.
+    using core::GpuConfig;
+    const struct
+    {
+        GpuConfig config;
+        const char *kernel;
+        GpuPinnedValues want;
+    } kPins[] = {
+        {GpuConfig::BaseCmos, "matrixmul",
+         {3404, 3750, 3750, 385, 2349, 8154, 0, 6854, 358, 2510, 1726,
+          27232, 3632, 4932, 515, 143, 100, 25, 25}},
+        {GpuConfig::BaseCmos, "blackscholes",
+         {2430, 3000, 3000, 458, 2108, 5507, 0, 6160, 0, 1130, 946, 19440,
+          3793, 3140, 259, 175, 0, 25, 25}},
+        {GpuConfig::BaseCmos, "bitonicsort",
+         {2619, 2250, 2250, 274, 1018, 4338, 0, 3416, 150, 4864, 3996,
+          20952, 1800, 2722, 448, 360, 150, 25, 25}},
+        {GpuConfig::BaseCmos, "histogram",
+         {2479, 2000, 2000, 171, 801, 4126, 0, 3104, 342, 4320, 3796,
+          19832, 1476, 2498, 485, 201, 50, 25, 25}},
+        {GpuConfig::BaseTfet, "matrixmul",
+         {3404, 3750, 3750, 385, 2349, 11786, 0, 0, 358, 2510, 1726,
+          27232, 0, 0, 515, 143, 100, 25, 25}},
+        {GpuConfig::BaseTfet, "blackscholes",
+         {2430, 3000, 3000, 458, 2108, 9300, 0, 0, 0, 1130, 946, 19440, 0,
+          0, 259, 175, 0, 25, 25}},
+        {GpuConfig::BaseTfet, "bitonicsort",
+         {2619, 2250, 2250, 274, 1018, 6138, 0, 0, 150, 4864, 3996, 20952,
+          0, 0, 448, 360, 150, 25, 25}},
+        {GpuConfig::BaseTfet, "histogram",
+         {2479, 2000, 2000, 171, 801, 5602, 0, 0, 342, 4320, 3796, 19832,
+          0, 0, 485, 201, 50, 25, 25}},
+        {GpuConfig::AdvHet, "matrixmul",
+         {3776, 3750, 3750, 385, 2349, 8154, 0, 6854, 358, 2510, 1726,
+          30208, 3632, 4932, 515, 143, 100, 25, 25}},
+        {GpuConfig::AdvHet, "blackscholes",
+         {2792, 3000, 3000, 458, 2108, 5507, 0, 6160, 0, 1130, 946, 22336,
+          3793, 3140, 259, 175, 0, 25, 25}},
+        {GpuConfig::AdvHet, "bitonicsort",
+         {2785, 2250, 2250, 274, 1018, 4338, 0, 3416, 150, 4864, 3996,
+          22280, 1800, 2722, 448, 360, 150, 25, 25}},
+        {GpuConfig::AdvHet, "histogram",
+         {2503, 2000, 2000, 171, 801, 4126, 0, 3104, 342, 4320, 3796,
+          20024, 1476, 2498, 485, 201, 50, 25, 25}},
+        {GpuConfig::AdvHet2X, "matrixmul",
+         {2062, 3750, 3750, 385, 2349, 8154, 0, 6854, 358, 2510, 1726,
+          32992, 3632, 4932, 515, 143, 100, 25, 25}},
+        {GpuConfig::AdvHet2X, "blackscholes",
+         {1559, 3000, 3000, 458, 2108, 5507, 0, 6160, 0, 1130, 946, 24944,
+          3793, 3140, 259, 175, 0, 25, 25}},
+        {GpuConfig::AdvHet2X, "bitonicsort",
+         {1594, 2250, 2250, 274, 1018, 4338, 0, 3416, 150, 4864, 3996,
+          25504, 1800, 2722, 448, 360, 150, 25, 25}},
+        {GpuConfig::AdvHet2X, "histogram",
+         {1550, 2000, 2000, 171, 801, 4126, 0, 3104, 342, 4320, 3796,
+          24800, 1476, 2498, 485, 201, 50, 25, 25}},
+    };
+    for (const auto &pin : kPins) {
+        SCOPED_TRACE(std::string(core::gpuConfigName(pin.config)) + "/" +
+                     pin.kernel);
+        EXPECT_EQ(measureGpuPinned(pin.config, pin.kernel), pin.want);
+    }
 }

@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/file.hh"
@@ -77,6 +79,15 @@ slurp(const std::string &path)
     return out;
 }
 
+std::vector<std::string>
+gpuKernelNames()
+{
+    std::vector<std::string> names;
+    for (const workload::KernelProfile &k : workload::gpuKernels())
+        names.push_back(k.name);
+    return names;
+}
+
 /** Run a multicore directly so the test can see skippedCycles. */
 cpu::MulticoreResult
 runMulticore(CpuConfig cfg, const char *app, bool skip)
@@ -131,22 +142,33 @@ TEST(Skip, CpuRunActuallySkips)
         EXPECT_EQ(on.activity[i], off.activity[i]) << "unit " << i;
 }
 
-TEST(Skip, GpuReportsBitIdentical)
+using GpuIdentityCase = std::tuple<GpuConfig, std::string>;
+
+class GpuSkipIdentity : public ::testing::TestWithParam<GpuIdentityCase>
 {
-    const struct
-    {
-        GpuConfig cfg;
-        const char *kernel;
-    } cases[] = {
-        {GpuConfig::AdvHet, "matrixmul"},
-        {GpuConfig::BaseTfet, "nbody"},
-    };
-    for (const auto &c : cases) {
-        SCOPED_TRACE(c.kernel);
-        EXPECT_EQ(gpuReportJson(c.cfg, c.kernel, false),
-                  gpuReportJson(c.cfg, c.kernel, true));
-    }
+};
+
+/** Every GPU configuration on every kernel: the scheduler decides per
+ *  CU which cycles it ticks, so each pairing of CU count, clock, RF
+ *  timing and kernel shape gets its own byte-compare. */
+TEST_P(GpuSkipIdentity, ReportsBitIdentical)
+{
+    const auto &[cfg, kernel] = GetParam();
+    EXPECT_EQ(gpuReportJson(cfg, kernel.c_str(), false),
+              gpuReportJson(cfg, kernel.c_str(), true));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigsAndKernels, GpuSkipIdentity,
+    ::testing::Combine(::testing::ValuesIn(figure10Configs()),
+                       ::testing::ValuesIn(gpuKernelNames())),
+    [](const ::testing::TestParamInfo<GpuIdentityCase> &info) {
+        // "AdvHet-2X" is not a valid test name.
+        std::string name = gpuConfigName(std::get<0>(info.param));
+        name.erase(std::remove(name.begin(), name.end(), '-'),
+                   name.end());
+        return name + "_" + std::get<1>(info.param);
+    });
 
 TEST(Skip, GpuRunActuallySkips)
 {
@@ -157,6 +179,29 @@ TEST(Skip, GpuRunActuallySkips)
     gpu::Gpu g(bundle.sim);
     const gpu::GpuResult res = g.run(k);
     EXPECT_GT(res.skippedCycles, 0u);
+}
+
+TEST(Skip, GpuTicksOnlyCusThatCanAct)
+{
+    // A loop that still ticked every CU every cycle would pass every
+    // identity test above, so count the ticks. nbody is the densest
+    // kernel (72% SIMD ops): its CUs have work resident nearly every
+    // cycle, yet most of those cycles they wait on a port or operand.
+    const GpuConfigBundle bundle = makeGpuConfig(GpuConfig::AdvHet);
+    auto run = [&](bool skip) {
+        gpu::GpuParams params = bundle.sim;
+        params.skipEnabled = skip;
+        workload::SyntheticKernel k(workload::gpuKernel("nbody"), 1,
+                                    0.05);
+        gpu::Gpu g(params);
+        return g.run(k);
+    };
+    const gpu::GpuResult on = run(true);
+    const gpu::GpuResult off = run(false);
+    const uint64_t cu_cycles = uint64_t{bundle.numCus} * off.cycles;
+    EXPECT_EQ(on.cycles, off.cycles);
+    EXPECT_EQ(off.cuTicks, cu_cycles);
+    EXPECT_LT(on.cuTicks, cu_cycles / 3);
 }
 
 TEST(Skip, GpuIdleCusDoNotPinTheHorizon)
