@@ -2,136 +2,33 @@
  * @file
  * hetsim_cli — the command-line front end to the library.
  *
- *   hetsim_cli list
- *       Print every configuration, application, and GPU kernel.
- *   hetsim_cli run --config AdvHet --app fft [--scale S] [--freq F]
- *                  [--cores N] [--seed K] [--no-skip 1]
- *                  [--csv out.csv] [--report-json report.json]
- *                  [--trace-out t.json] [--trace-capacity N]
- *                  [--checkpoint ck.hckp] [--checkpoint-every N]
- *       Simulate one CPU experiment and print its metrics.
- *       --checkpoint enables checkpoint/restore: the run saves a
- *       verified, atomically-rotated checkpoint every N cycles
- *       (--checkpoint-every; 0 = only on SIGTERM), drains to one on
- *       SIGTERM (exit 3), auto-resumes when the file exists, and
- *       removes it on completion. A run killed at any point and
- *       re-invoked identically produces byte-identical --report-json
- *       output to an uninterrupted run with the same flags.
- *       --no-skip 1 disables event-horizon cycle skipping (the
- *       slower reference path; reports are byte-identical either
- *       way — run/gpu/sweep/dse all accept it).
- *       --report-json writes the machine-readable RunReport (every
- *       stat counter and distribution, per-unit energy, config
- *       identity); two identical runs produce byte-identical files.
- *       --trace-out records the last N (default 65536) pipeline and
- *       cache events into a chrome://tracing JSON.
- *   hetsim_cli gpu --config AdvHet --kernel matrixmul [--scale S]
- *                  [--report-json report.json] [--trace-out t.json]
- *       Simulate one GPU experiment (trace records wavefront issue).
- *   hetsim_cli record --app fft [--thread T] [--threads N]
- *                     [--scale S] [--max M] --out trace.bin
- *       Record a synthetic trace to a binary file.
- *   hetsim_cli replay --trace trace.bin [--config BaseCMOS]
- *       Replay a recorded trace through a single core.
- *   hetsim_cli sweep [--configs all|A,B] [--workloads w1,w2]
- *                    [--scale S] [--seed K] [--freq F]
- *                    [--jobs N] [--timeout-ms T]
- *                    [--watchdog-cycles N]
- *                    [--no-isolate 1] [--csv out.csv]
- *                    [--store DIR] [--resume 1] [--retries N]
- *                    [--retry-backoff-ms B]
- *       Run a batch (config x workload) sweep; each cell executes in
- *       an isolated child process with watchdogs, so corrupt traces,
- *       crashes, and runaway cells are recorded per cell while the
- *       rest of the sweep completes. --jobs N keeps up to N cells in
- *       flight at once (results stay in plan order, so the report is
- *       byte-identical to a serial run). Workload specs: "fft",
- *       "app:fft@scale=2", "trace:file.bin", "kernel:dct" (kernel
- *       cells use GPU configs named via --gpu-configs).
- *       --report-json writes the deterministic per-cell JSON report.
- *       --store DIR journals each cell's terminal outcome into a
- *       checksummed on-disk result store as it completes; --resume 1
- *       replays journaled cells instead of re-executing them, so a
- *       killed sweep restarted with the same flags re-runs only the
- *       missing cells and produces a byte-identical --report-json.
- *       --retries N re-runs transient failures (worker crashes,
- *       wall-clock kills) up to N times with exponential backoff
- *       (deterministically jittered per cell).
- *       --checkpoint-every N (needs --store) adds mid-run cell
- *       checkpoints in the store directory: SIGTERM drains the
- *       in-flight cell to a checkpoint and stops (exit 3), and
- *       --resume 1 then continues that cell mid-run.
- *       Exits 0 as long as the sweep itself ran; per-cell failures
- *       are reported in the summary, not via the exit code.
- *   hetsim_cli dse [--space cpu|gpu] [--app fft | --kernel matrixmul]
- *                  [--objective ed2|energy|time]
- *                  [--strategy exhaustive|greedy] [--jobs N]
- *                  [--budget-mm2 X] [--scale S] [--seed K] [--freq F]
- *                  [--repeat R] [--csv out.csv]
- *       Explore the free-form hybrid-design space (per-unit
- *       CMOS/TFET/high-V_t choices beyond Table IV) on one workload,
- *       fanning cells out over --jobs threads with a memoization
- *       cache, and report the Pareto front over (time, energy, area).
- *       Output is identical for any --jobs value; --repeat R > 1
- *       re-runs the search to demonstrate the cache (every repeated
- *       cell is a hit, not a re-simulation). --report-json writes the
- *       evaluated points as JSON, byte-identical for any --jobs.
- *       --store DIR adds a durable second cache tier: memo misses
- *       consult the on-disk store before simulating, so a repeated
- *       exploration in a new process is warm.
- *   hetsim_cli serve --socket /tmp/hetsim.sock [--store DIR]
- *                    [--jobs N] [--timeout-ms T]
- *                    [--watchdog-cycles N] [--retries R]
- *                    [--retry-backoff-ms B] [--report-json out.json]
- *       Resident batch daemon: accepts length-prefixed flat-JSON
- *       run/gpu/sweep/dse jobs over a unix socket (higher "priority"
- *       fields run first), executes every cell through the
- *       fork-isolated sweep runner with the shared result store, and
- *       drains gracefully on SIGTERM/SIGINT — answering every queued
- *       job, then writing its lifetime counters (jobs, store
- *       hits/misses/quarantines, retries) as a RunReport.
- *       --checkpoint-every N (needs --store) lets the drain signal
- *       preempt the in-flight cell at its next checkpoint instead of
- *       running it to completion; re-submitting the job after a
- *       restart resumes the cell from its journaled checkpoint.
- *   hetsim_cli store fsck --dir DIR
- *   hetsim_cli store gc --dir DIR
- *       Offline store maintenance: verify every .hres entry exactly
- *       as get() would (quarantining corrupt ones), verify every
- *       .hckp / .prev checkpoint's header and checksums report-only
- *       (live resumable state is never renamed or removed), and
- *       report quarantined files and orphaned atomic-write temp
- *       files. fsck only reports (exit 1 while problem files
- *       remain); gc additionally deletes quarantined files and
- *       orphan temps (never live entries or checkpoints).
- *   hetsim_cli submit --socket /tmp/hetsim.sock
- *                     --request '{"cmd":"run","config":"AdvHet",
- *                     "workload":"fft","scale":0.05}'
- *                     [--timeout-ms T]
- *       Send one job to a serve daemon and print the JSON response
- *       (exit 0 when the response says ok, 2 when it reports an
- *       error). Connect retries until the deadline, so a submit
- *       racing a freshly spawned server just works.
- *
- *   run and gpu also accept --store DIR: the full RunReport is
- *   memoized durably, and an identical re-invocation prints the same
- *   table and writes byte-identical --report-json output without
- *   re-simulating (bypassed when --trace-out is requested).
+ * Every option is declared once, in kOptions: its name, value kind,
+ * the subcommands that take it, its default and one line of help.
+ * Options keep the `--key value` form. The parser exits 1 with a
+ * one-line error naming the option for an option the subcommand does
+ * not take, a missing or repeated value, a value that does not parse
+ * completely, and a value out of range; the usage text printed then
+ * (and by `hetsim_cli` alone) is generated from the same table.
  *
  * The library reports input errors as Status values; this front end
  * is where they become messages and a nonzero process exit.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <csignal>
+#include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "common/file.hh"
 #include "common/logging.hh"
@@ -141,7 +38,6 @@
 #include "core/dse.hh"
 #include "core/experiment.hh"
 #include "core/result_store.hh"
-#include "core/server.hh"
 #include "core/sweep.hh"
 #include "cpu/multicore.hh"
 #include "workload/cpu_trace_gen.hh"
@@ -152,28 +48,132 @@ using namespace hetsim;
 namespace
 {
 
+/** Subcommands, as bits so that one option can name several. */
+enum Cmd : unsigned
+{
+    kList = 1u << 0,
+    kRun = 1u << 1,
+    kGpu = 1u << 2,
+    kRecord = 1u << 3,
+    kReplay = 1u << 4,
+    kSweep = 1u << 5,
+    kDse = 1u << 6,
+    kStore = 1u << 7,
+};
+
+/** The commands that fill ExperimentOptions (experimentOptions()). */
+constexpr unsigned kSim = kRun | kGpu | kSweep | kDse;
+
+/** What a value must parse as, completely. */
+enum class Kind
+{
+    Str,    ///< Any non-empty string.
+    Count,  ///< Integer in [lo, hi], decimal digits only.
+    Pos,    ///< Finite number > 0.
+    NonNeg, ///< Finite number >= 0.
+    Flag,   ///< 0 or 1.
+};
+
+struct Option
+{
+    const char *name;
+    Kind kind;
+    unsigned cmds;    ///< Subcommands that take it.
+    const char *dflt; ///< Default; "" = none, nullptr = required.
+    const char *help;
+    uint64_t lo = 0; ///< Count range.
+    uint64_t hi = UINT64_MAX;
+};
+
+/** Every option. An option listed twice has a per-command default. */
+const Option kOptions[] = {
+    {"config", Kind::Str, kRun | kGpu | kReplay, "BaseCMOS",
+     "configuration (names: hetsim_cli list)"},
+    {"app", Kind::Str, kRun | kRecord | kDse, "fft", "CPU application"},
+    {"kernel", Kind::Str, kGpu | kDse, "matrixmul", "GPU kernel"},
+    {"scale", Kind::Pos, kRun | kGpu | kRecord | kSweep, "1",
+     "workload size multiplier"},
+    {"scale", Kind::Pos, kDse, "0.05", "workload size multiplier"},
+    {"seed", Kind::Count, kSim | kRecord, "1", "workload seed"},
+    {"freq", Kind::Pos, kRun | kSweep | kDse, "2",
+     "CPU clock in GHz; the GPU runs at half"},
+    {"cores", Kind::Count, kRun, "0",
+     "core count, 1-32 (0 = the configuration's)", 0, 32},
+    {"watchdog-cycles", Kind::Count, kSweep, "0", "cycle limit per cell"},
+    {"no-skip", Kind::Flag, kSim, "0",
+     "1 = tick every cycle (reports are identical either way)"},
+    {"checkpoint", Kind::Str, kRun | kGpu, "",
+     "checkpoint file: resume from it, save to it, remove it when done"},
+    {"checkpoint-every", Kind::Count, kRun | kGpu | kSweep, "0",
+     "cycles between checkpoints (0 = only on SIGTERM, which exits 3)"},
+    {"store", Kind::Str, kSim, "",
+     "result store directory: journal results, reuse them warm"},
+    {"report-json", Kind::Str, kSim, "", "write the JSON report"},
+    {"csv", Kind::Str, kRun | kSweep | kDse, "", "write the table as CSV"},
+    {"trace-out", Kind::Str, kRun | kGpu, "",
+     "write the last pipeline events as chrome://tracing JSON"},
+    {"trace-capacity", Kind::Count, kRun | kGpu, "65536",
+     "events --trace-out keeps", 0, 1u << 24},
+    {"out", Kind::Str, kRecord, nullptr, "trace file to write"},
+    {"thread", Kind::Count, kRecord, "0", "thread to record", 0, UINT32_MAX},
+    {"threads", Kind::Count, kRecord, "4", "application threads", 1,
+     UINT32_MAX},
+    {"max", Kind::Count, kRecord, "", "record at most this many ops"},
+    {"trace", Kind::Str, kReplay, nullptr, "trace file to replay"},
+    {"configs", Kind::Str, kSweep, "all",
+     "CPU configurations, comma-separated, or all"},
+    {"workloads", Kind::Str, kSweep, "",
+     "CPU workloads x --configs: fft, app:fft@scale=2, trace:FILE"},
+    {"gpu-configs", Kind::Str, kSweep, "",
+     "GPU configurations x --kernels"},
+    {"kernels", Kind::Str, kSweep, "", "GPU kernels, comma-separated"},
+    {"cells", Kind::Str, kSweep, "", "extra Config/workload cells"},
+    {"jobs", Kind::Count, kSweep | kDse, "1",
+     "cells in flight; results do not depend on it", 0, 1024},
+    {"timeout-ms", Kind::NonNeg, kSweep, "0", "wall-clock limit per cell"},
+    {"no-isolate", Kind::Flag, kSweep, "0",
+     "1 = run cells in this process, not in forked children"},
+    {"resume", Kind::Flag, kSweep, "0", "1 = replay cells journaled in store"},
+    {"retries", Kind::Count, kSweep, "0",
+     "re-runs of a crashed or killed cell", 0, UINT32_MAX},
+    {"retry-backoff-ms", Kind::NonNeg, kSweep, "50",
+     "base of the exponential retry backoff"},
+    {"space", Kind::Str, kDse, "cpu", "design space: cpu or gpu"},
+    {"objective", Kind::Str, kDse, "ed2", "ed2, energy or time"},
+    {"strategy", Kind::Str, kDse, "exhaustive",
+     "exhaustive, or greedy (cpu space only)"},
+    {"budget-mm2", Kind::NonNeg, kDse, "0", "area budget (0 = none)"},
+    {"repeat", Kind::Count, kDse, "1",
+     "search passes; a repeated pass is served by the cache"},
+    {"dir", Kind::Str, kStore, nullptr, "store directory"},
+};
+
+/** The entry of --name that `cmds` takes, or nullptr. */
+const Option *
+findOption(const char *name, unsigned cmds)
+{
+    for (const Option &o : kOptions) {
+        if ((o.cmds & cmds) && std::strcmp(o.name, name) == 0)
+            return &o;
+    }
+    return nullptr;
+}
+
 /** CLI-layer fatal: print and exit(1). Library code returns Status
  *  instead; only the front end may terminate the process. */
 [[noreturn]] void
 die(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-void
-vdie(const char *fmt, va_list ap)
-{
-    std::fprintf(stderr, "error: ");
-    std::vfprintf(stderr, fmt, ap);
-    std::fprintf(stderr, "\n");
-    std::exit(1);
-}
 
 [[noreturn]] void
 die(const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    vdie(fmt, ap);
+    std::fprintf(stderr, "error: ");
+    std::vfprintf(stderr, fmt, ap);
+    std::fprintf(stderr, "\n");
     va_end(ap);
-    std::abort(); // Unreachable; vdie exits.
+    std::exit(1);
 }
 
 [[noreturn]] void
@@ -182,78 +182,88 @@ dieOn(const Status &status)
     die("%s", status.toString().c_str());
 }
 
-/** Minimal --key value argument parser. */
+/** The value of `r`, or exit 1 with its error. */
+template <typename T>
+T
+orDie(Result<T> r)
+{
+    if (!r.ok())
+        dieOn(r.status());
+    return std::move(r).value();
+}
+
+/** The validated options of one subcommand invocation. */
 class Args
 {
   public:
-    Args(int argc, char **argv, int first)
-    {
-        for (int i = first; i + 1 < argc; i += 2) {
-            if (std::strncmp(argv[i], "--", 2) != 0)
-                die("expected --option, got '%s'", argv[i]);
-            kv_[argv[i] + 2] = argv[i + 1];
-        }
-    }
+    Args(unsigned cmd, int argc, char **argv);
 
-    std::string
-    get(const std::string &key, const std::string &dflt = "") const
-    {
-        auto it = kv_.find(key);
-        return it == kv_.end() ? dflt : it->second;
-    }
+    unsigned cmd() const { return cmd_; }
+    /** `store`'s action: fsck or gc. */
+    const std::string &action() const { return action_; }
+    /** True when the option was given on the command line. */
+    bool has(const char *name) const { return given_.count(name) != 0; }
 
-    double
-    getD(const std::string &key, double dflt) const
+    std::string str(const char *name) const { return value(name); }
+    double num(const char *name) const
     {
-        auto it = kv_.find(key);
-        return it == kv_.end() ? dflt : std::atof(it->second.c_str());
+        return std::strtod(value(name).c_str(), nullptr);
     }
-
-    uint64_t
-    getU(const std::string &key, uint64_t dflt) const
+    uint64_t count(const char *name) const
     {
-        auto it = kv_.find(key);
-        return it == kv_.end()
-            ? dflt
-            : std::strtoull(it->second.c_str(), nullptr, 10);
+        return std::strtoull(value(name).c_str(), nullptr, 10);
     }
+    bool flag(const char *name) const { return value(name) == "1"; }
 
   private:
-    std::map<std::string, std::string> kv_;
+    std::string value(const char *name) const;
+
+    unsigned cmd_;
+    std::string action_;
+    std::map<std::string, std::string> given_;
 };
 
-core::CpuConfig
-cpuConfigByName(const std::string &name)
+/** Why `value` is not a value of `o`; empty when it is one. */
+std::string
+badValue(const Option &o, const std::string &value)
 {
-    Result<core::CpuConfig> r = core::cpuConfigFromName(name);
-    if (!r.ok())
-        dieOn(r.status());
-    return r.value();
+    const char *text = value.c_str();
+    char *end = nullptr;
+    errno = 0;
+    if (o.kind == Kind::Str)
+        return "";
+    if (o.kind == Kind::Flag)
+        return value == "0" || value == "1" ? "" : "expected 0 or 1";
+    if (o.kind == Kind::Count) {
+        const uint64_t v = std::strtoull(text, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+            *end != '\0')
+            return "expected a non-negative integer";
+        if (errno == ERANGE || v < o.lo || v > o.hi)
+            return "out of range [" + std::to_string(o.lo) + ", " +
+                   std::to_string(o.hi) + "]";
+        return "";
+    }
+    const double v = std::strtod(text, &end);
+    if (std::isspace(static_cast<unsigned char>(text[0])) ||
+        end == text || *end != '\0')
+        return "expected a number";
+    if (errno == ERANGE || !std::isfinite(v) || v < 0.0 ||
+        (o.kind == Kind::Pos && v == 0.0))
+        return o.kind == Kind::Pos ? "out of range: expected > 0"
+                                   : "out of range: expected >= 0";
+    return "";
 }
 
-core::GpuConfig
-gpuConfigByName(const std::string &name)
-{
-    Result<core::GpuConfig> r = core::gpuConfigFromName(name);
-    if (!r.ok())
-        dieOn(r.status());
-    return r.value();
-}
-
+/** The non-empty items of a comma-separated list. */
 std::vector<std::string>
 splitCsvList(const std::string &list)
 {
     std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= list.size()) {
-        const size_t comma = list.find(',', start);
-        const size_t end =
-            comma == std::string::npos ? list.size() : comma;
-        if (end > start)
-            out.push_back(list.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
+    std::istringstream in(list);
+    for (std::string item; std::getline(in, item, ',');) {
+        if (!item.empty())
+            out.push_back(item);
     }
     return out;
 }
@@ -269,22 +279,45 @@ onPreemptSignal(int)
     g_preempt = 1;
 }
 
-void
-installPreemptHandler()
-{
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = onPreemptSignal;
-    sigemptyset(&sa.sa_mask);
-    ::sigaction(SIGTERM, &sa, nullptr);
-}
-
 /** Exit code of a run stopped at a preemption checkpoint (1 is a
- *  plain error, 2 a submit error-response). */
+ *  plain error). */
 constexpr int kExitPreempted = 3;
 
+/**
+ * The ExperimentOptions of run, gpu, sweep and dse. A field whose
+ * option the command does not take keeps the table default, so a new
+ * field is one table entry and one line here. A checkpointed command
+ * installs the SIGTERM handler that drains it to a checkpoint.
+ */
+core::ExperimentOptions
+experimentOptions(const Args &args)
+{
+    core::ExperimentOptions opts;
+    opts.seed = args.count("seed");
+    opts.scale = args.num("scale");
+    opts.freqGhz = args.num("freq");
+    opts.coresOverride = static_cast<uint32_t>(args.count("cores"));
+    opts.watchdogCycles = args.count("watchdog-cycles");
+    opts.noSkip = args.flag("no-skip");
+    opts.checkpointPath = args.str("checkpoint");
+    opts.checkpointEveryCycles = args.count("checkpoint-every");
+    // run and gpu checkpoint to a file; sweep cells into the store.
+    const char *home = args.cmd() == kSweep ? "store" : "checkpoint";
+    if (opts.checkpointEveryCycles > 0 && !args.has(home))
+        die("--checkpoint-every needs --%s", home);
+    if (opts.checkpointEveryCycles > 0 || !opts.checkpointPath.empty()) {
+        struct sigaction sa;
+        std::memset(&sa, 0, sizeof(sa));
+        sa.sa_handler = onPreemptSignal;
+        sigemptyset(&sa.sa_mask);
+        ::sigaction(SIGTERM, &sa, nullptr);
+        opts.preempt = &g_preempt;
+    }
+    return opts;
+}
+
 int
-cmdList()
+cmdList(const Args &)
 {
     std::printf("CPU configurations:\n ");
     for (int i = 0; i < core::kNumCpuConfigs; ++i)
@@ -308,13 +341,9 @@ cmdList()
 std::optional<core::ResultStore>
 openStoreArg(const Args &args)
 {
-    const std::string dir = args.get("store");
-    if (dir.empty())
+    if (!args.has("store"))
         return std::nullopt;
-    Result<core::ResultStore> store = core::ResultStore::open(dir);
-    if (!store.ok())
-        dieOn(store.status());
-    return std::optional<core::ResultStore>(std::move(store.value()));
+    return orDie(core::ResultStore::open(args.str("store")));
 }
 
 /** Store key of one run/gpu invocation: command identity plus every
@@ -351,6 +380,7 @@ struct RunMemo
     double seconds = 0.0;
     double energyJ = 0.0;
     std::string reportJson;
+    bool preempted = false; ///< Never journaled.
 };
 
 struct [[gnu::packed]] RunMemoHead
@@ -391,84 +421,36 @@ decodeRunMemo(const std::string &payload, RunMemo *out)
     return true;
 }
 
-/** Write pre-serialized report bytes verbatim (the warm-hit path
- *  must reproduce the cold run's file exactly). */
-void
-writeReportBytes(const std::string &path, const std::string &bytes)
-{
-    Result<FileHandle> file = openFile(path, "wb");
-    if (!file.ok())
-        dieOn(file.status());
-    if (std::fwrite(bytes.data(), 1, bytes.size(),
-                    file.value().get()) != bytes.size())
-        dieOn(ioError("write failed", path));
-    std::printf("report: %s\n", path.c_str());
-}
+/** Simulates one run or gpu invocation into (report, trace). */
+using Simulate =
+    std::function<RunMemo(obs::RunReport *, obs::TraceBuffer *)>;
 
-/** Write the --report-json / --trace-out artifacts of one run. */
-void
-writeRunArtifacts(const Args &args, obs::RunReport &report,
-                  const obs::TraceBuffer &trace)
-{
-    const std::string report_path = args.get("report-json");
-    if (!report_path.empty()) {
-        const Status s = report.writeJson(report_path);
-        if (!s.ok())
-            dieOn(s);
-        std::printf("report: %s\n", report_path.c_str());
-    }
-    const std::string trace_path = args.get("trace-out");
-    if (!trace_path.empty()) {
-        const Status s = obs::writeChromeTrace(trace, trace_path);
-        if (!s.ok())
-            dieOn(s);
-        std::printf("trace: %s (%llu events kept, %llu dropped)\n",
-                    trace_path.c_str(),
-                    static_cast<unsigned long long>(trace.size()),
-                    static_cast<unsigned long long>(trace.dropped()));
-    }
-}
-
+/**
+ * The path run and gpu share: serve the invocation from --store when
+ * it holds a verified memo, else simulate it (exit 3 when a
+ * checkpointed run is preempted) and journal it; then print the
+ * table and write the artifacts. gpu prints no ED^2 row and takes no
+ * --csv. A traced run always simulates (tracing records live
+ * pipeline events) and still journals its result.
+ */
 int
-cmdRun(const Args &args)
+runOne(const Args &args, const std::string &config,
+       const std::string &workload, const core::ExperimentOptions &opts,
+       uint64_t design_hash, const Simulate &simulate)
 {
-    const auto cfg = cpuConfigByName(args.get("config", "BaseCMOS"));
-    const auto app = workload::findCpuApp(args.get("app", "fft"));
-    if (!app.ok())
-        dieOn(app.status());
-    core::ExperimentOptions opts;
-    opts.scale = args.getD("scale", 1.0);
-    opts.freqGhz = args.getD("freq", 2.0);
-    opts.seed = args.getU("seed", 1);
-    opts.coresOverride =
-        static_cast<uint32_t>(args.getU("cores", 0));
-    opts.noSkip = args.getU("no-skip", 0) != 0;
-    opts.checkpointPath = args.get("checkpoint");
-    opts.checkpointEveryCycles = args.getU("checkpoint-every", 0);
-    if (opts.checkpointPath.empty() &&
-        opts.checkpointEveryCycles > 0)
-        die("--checkpoint-every needs --checkpoint <path>");
-    if (!opts.checkpointPath.empty()) {
-        installPreemptHandler();
-        opts.preempt = &g_preempt;
-    }
-
+    const bool gpu = args.cmd() == kGpu;
     obs::RunReport report;
     obs::TraceBuffer trace(
-        static_cast<size_t>(args.getU("trace-capacity", 65536)));
-    const std::string report_path = args.get("report-json");
-    const bool want_trace = !args.get("trace-out").empty();
+        static_cast<size_t>(args.count("trace-capacity")));
+    const bool want_trace = args.has("trace-out");
 
     std::optional<core::ResultStore> store = openStoreArg(args);
     const std::string key = store
-        ? runStoreKey("cpu", core::cpuConfigName(cfg),
-                      app.value()->name, opts)
+        ? runStoreKey(gpu ? "gpu" : "cpu", config, workload, opts)
         : "";
 
     RunMemo memo;
     bool from_store = false;
-    // Tracing records live pipeline events, so a traced run always
-    // executes; it still journals its result below.
     if (store && !want_trace) {
         if (Result<std::string> hit = store->get(key); hit.ok())
             from_store = decodeRunMemo(hit.value(), &memo);
@@ -477,201 +459,144 @@ cmdRun(const Args &args)
     if (!from_store) {
         // Fill the report whenever it is journaled, not only when
         // --report-json asked for it: a later warm hit needs it.
-        const bool want_report = !report_path.empty() || store;
-        const core::CpuOutcome out = core::runCpuExperiment(
-            cfg, *app.value(), opts, want_report ? &report : nullptr,
-            want_trace ? &trace : nullptr);
-        if (out.preempted) {
+        const bool want_report = args.has("report-json") || store;
+        memo = simulate(want_report ? &report : nullptr,
+                        want_trace ? &trace : nullptr);
+        if (memo.preempted) {
             std::printf("preempted at cycle %llu: checkpoint saved "
                         "to %s; rerun the same command to resume\n",
-                        static_cast<unsigned long long>(out.cycles),
+                        static_cast<unsigned long long>(memo.cycles),
                         opts.checkpointPath.c_str());
             return kExitPreempted;
         }
-        report.designHash =
-            core::designHash(core::cpuHybridFromConfig(cfg));
-        memo.cycles = out.cycles;
-        memo.ops = out.committedOps;
-        memo.seconds = out.metrics.seconds;
-        memo.energyJ = out.metrics.energyJ;
+        report.designHash = design_hash;
         if (want_report)
             memo.reportJson = report.toJson();
         if (store) {
             if (Status s = store->put(key, encodeRunMemo(memo));
                 !s.ok())
-                warn("run: store put failed: %s",
+                warn("%s: store put failed: %s", gpu ? "gpu" : "run",
                      s.toString().c_str());
         }
     }
 
     const double power_w =
         memo.seconds > 0.0 ? memo.energyJ / memo.seconds : 0.0;
-    TablePrinter t("hetsim run: " +
-                       std::string(core::cpuConfigName(cfg)) + " / " +
-                       app.value()->name,
+    TablePrinter t(std::string(gpu ? "hetsim gpu: " : "hetsim run: ") +
+                       config + " / " + workload,
                    {"metric", "value"});
     t.addRow({"cycles", std::to_string(memo.cycles)});
-    t.addRow({"committed ops", std::to_string(memo.ops)});
+    t.addRow({gpu ? "issued ops" : "committed ops",
+              std::to_string(memo.ops)});
     t.addRow({"time (ms)", formatDouble(memo.seconds * 1e3, 4)});
     t.addRow({"energy (mJ)", formatDouble(memo.energyJ * 1e3, 4)});
     t.addRow({"power (W)", formatDouble(power_w, 3)});
-    char ed2[32];
-    std::snprintf(ed2, sizeof(ed2), "%.3e",
-                  memo.energyJ * memo.seconds * memo.seconds);
-    t.addRow({"ED^2 (J s^2)", ed2});
+    if (!gpu) {
+        char ed2[32];
+        std::snprintf(ed2, sizeof(ed2), "%.3e",
+                      memo.energyJ * memo.seconds * memo.seconds);
+        t.addRow({"ED^2 (J s^2)", ed2});
+    }
     t.print();
-    if (from_store) {
+    if (from_store)
         std::printf("store: verified hit (%s)\n",
                     store->entryPath(key).c_str());
-        if (!report_path.empty())
-            writeReportBytes(report_path, memo.reportJson);
-    } else {
-        writeRunArtifacts(args, report, trace);
+    if (args.has("report-json")) {
+        // A warm hit writes the journaled bytes: the cold run's file.
+        const std::string path = args.str("report-json");
+        if (const Status s = writeFile(path, memo.reportJson); !s.ok())
+            dieOn(s);
+        std::printf("report: %s\n", path.c_str());
     }
-    const std::string csv = args.get("csv");
+    if (want_trace) {
+        const std::string path = args.str("trace-out");
+        if (const Status s = obs::writeChromeTrace(trace, path); !s.ok())
+            dieOn(s);
+        std::printf("trace: %s (%llu events kept, %llu dropped)\n",
+                    path.c_str(),
+                    static_cast<unsigned long long>(trace.size()),
+                    static_cast<unsigned long long>(trace.dropped()));
+    }
+    const std::string csv = args.str("csv");
     if (!csv.empty() && !t.writeCsv(csv))
         die("cannot write '%s'", csv.c_str());
     return 0;
 }
 
 int
+cmdRun(const Args &args)
+{
+    const core::CpuConfig cfg =
+        orDie(core::cpuConfigFromName(args.str("config")));
+    const workload::AppProfile *app =
+        orDie(workload::findCpuApp(args.str("app")));
+    const core::ExperimentOptions opts = experimentOptions(args);
+    return runOne(args, core::cpuConfigName(cfg), app->name, opts,
+                  core::designHash(core::cpuHybridFromConfig(cfg)),
+                  [&](obs::RunReport *report, obs::TraceBuffer *trace) {
+                      const core::CpuOutcome out = core::runCpuExperiment(
+                          cfg, *app, opts, report, trace);
+                      return RunMemo{out.cycles, out.committedOps,
+                                     out.metrics.seconds,
+                                     out.metrics.energyJ, "",
+                                     out.preempted};
+                  });
+}
+
+int
 cmdGpu(const Args &args)
 {
-    const auto cfg = gpuConfigByName(args.get("config", "BaseCMOS"));
-    const auto kernel =
-        workload::findGpuKernel(args.get("kernel", "matrixmul"));
-    if (!kernel.ok())
-        dieOn(kernel.status());
-    core::ExperimentOptions opts;
-    opts.scale = args.getD("scale", 1.0);
-    opts.seed = args.getU("seed", 1);
-    opts.noSkip = args.getU("no-skip", 0) != 0;
-    opts.checkpointPath = args.get("checkpoint");
-    opts.checkpointEveryCycles = args.getU("checkpoint-every", 0);
-    if (opts.checkpointPath.empty() &&
-        opts.checkpointEveryCycles > 0)
-        die("--checkpoint-every needs --checkpoint <path>");
-    if (!opts.checkpointPath.empty()) {
-        installPreemptHandler();
-        opts.preempt = &g_preempt;
-    }
-
-    obs::RunReport report;
-    obs::TraceBuffer trace(
-        static_cast<size_t>(args.getU("trace-capacity", 65536)));
-    const std::string report_path = args.get("report-json");
-    const bool want_trace = !args.get("trace-out").empty();
-
-    std::optional<core::ResultStore> store = openStoreArg(args);
-    const std::string key = store
-        ? runStoreKey("gpu", core::gpuConfigName(cfg),
-                      kernel.value()->name, opts)
-        : "";
-
-    RunMemo memo;
-    bool from_store = false;
-    if (store && !want_trace) {
-        if (Result<std::string> hit = store->get(key); hit.ok())
-            from_store = decodeRunMemo(hit.value(), &memo);
-    }
-
-    if (!from_store) {
-        const bool want_report = !report_path.empty() || store;
-        const core::GpuOutcome out = core::runGpuExperiment(
-            cfg, *kernel.value(), opts,
-            want_report ? &report : nullptr,
-            want_trace ? &trace : nullptr);
-        if (out.preempted) {
-            std::printf("preempted at cycle %llu: checkpoint saved "
-                        "to %s; rerun the same command to resume\n",
-                        static_cast<unsigned long long>(out.cycles),
-                        opts.checkpointPath.c_str());
-            return kExitPreempted;
-        }
-        report.designHash =
-            core::designHash(core::gpuHybridFromConfig(cfg));
-        memo.cycles = out.cycles;
-        memo.ops = out.issuedOps;
-        memo.seconds = out.metrics.seconds;
-        memo.energyJ = out.metrics.energyJ;
-        if (want_report)
-            memo.reportJson = report.toJson();
-        if (store) {
-            if (Status s = store->put(key, encodeRunMemo(memo));
-                !s.ok())
-                warn("gpu: store put failed: %s",
-                     s.toString().c_str());
-        }
-    }
-
-    const double power_w =
-        memo.seconds > 0.0 ? memo.energyJ / memo.seconds : 0.0;
-    TablePrinter t("hetsim gpu: " +
-                       std::string(core::gpuConfigName(cfg)) + " / " +
-                       kernel.value()->name,
-                   {"metric", "value"});
-    t.addRow({"cycles", std::to_string(memo.cycles)});
-    t.addRow({"issued ops", std::to_string(memo.ops)});
-    t.addRow({"time (ms)", formatDouble(memo.seconds * 1e3, 4)});
-    t.addRow({"energy (mJ)", formatDouble(memo.energyJ * 1e3, 4)});
-    t.addRow({"power (W)", formatDouble(power_w, 3)});
-    t.print();
-    if (from_store) {
-        std::printf("store: verified hit (%s)\n",
-                    store->entryPath(key).c_str());
-        if (!report_path.empty())
-            writeReportBytes(report_path, memo.reportJson);
-    } else {
-        writeRunArtifacts(args, report, trace);
-    }
-    return 0;
+    const core::GpuConfig cfg =
+        orDie(core::gpuConfigFromName(args.str("config")));
+    const workload::KernelProfile *kernel =
+        orDie(workload::findGpuKernel(args.str("kernel")));
+    const core::ExperimentOptions opts = experimentOptions(args);
+    return runOne(args, core::gpuConfigName(cfg), kernel->name, opts,
+                  core::designHash(core::gpuHybridFromConfig(cfg)),
+                  [&](obs::RunReport *report, obs::TraceBuffer *trace) {
+                      const core::GpuOutcome out = core::runGpuExperiment(
+                          cfg, *kernel, opts, report, trace);
+                      return RunMemo{out.cycles, out.issuedOps,
+                                     out.metrics.seconds,
+                                     out.metrics.energyJ, "",
+                                     out.preempted};
+                  });
 }
 
 int
 cmdRecord(const Args &args)
 {
-    const auto app = workload::findCpuApp(args.get("app", "fft"));
-    if (!app.ok())
-        dieOn(app.status());
-    const std::string out_path = args.get("out");
-    if (out_path.empty())
-        die("record needs --out <file>");
-    const uint32_t threads =
-        static_cast<uint32_t>(args.getU("threads", 4));
-    const uint32_t thread =
-        static_cast<uint32_t>(args.getU("thread", 0));
-    workload::SyntheticCpuTrace src(*app.value(), thread, threads,
-                                    args.getU("seed", 1),
-                                    args.getD("scale", 1.0));
-    const Result<uint64_t> n = workload::recordTrace(
-        src, out_path, args.getU("max", ~0ull));
-    if (!n.ok())
-        dieOn(n.status());
+    const workload::AppProfile *app =
+        orDie(workload::findCpuApp(args.str("app")));
+    const std::string out_path = args.str("out");
+    const uint32_t threads = static_cast<uint32_t>(args.count("threads"));
+    const uint32_t thread = static_cast<uint32_t>(args.count("thread"));
+    workload::SyntheticCpuTrace src(*app, thread, threads,
+                                    args.count("seed"),
+                                    args.num("scale"));
+    const uint64_t n = orDie(workload::recordTrace(
+        src, out_path, args.has("max") ? args.count("max") : ~0ull));
     std::printf("recorded %llu ops of %s (thread %u/%u) to %s\n",
-                static_cast<unsigned long long>(n.value()),
-                app.value()->name, thread, threads,
-                out_path.c_str());
+                static_cast<unsigned long long>(n), app->name, thread,
+                threads, out_path.c_str());
     return 0;
 }
 
 int
 cmdReplay(const Args &args)
 {
-    const std::string path = args.get("trace");
-    if (path.empty())
-        die("replay needs --trace <file>");
-    const auto cfg = cpuConfigByName(args.get("config", "BaseCMOS"));
+    const std::string path = args.str("trace");
+    const core::CpuConfig cfg =
+        orDie(core::cpuConfigFromName(args.str("config")));
     const core::CpuConfigBundle bundle = core::makeCpuConfig(cfg);
 
-    auto trace = workload::FileTrace::open(path);
-    if (!trace.ok())
-        dieOn(trace.status());
+    auto trace = orDie(workload::FileTrace::open(path));
     cpu::MulticoreParams sim = bundle.sim;
     sim.mem.numCores = 1;
-    cpu::Multicore mc(sim, {trace.value().get()});
+    cpu::Multicore mc(sim, {trace.get()});
     const cpu::MulticoreResult run = mc.run();
-    if (!trace.value()->status().ok())
-        dieOn(trace.value()->status());
+    if (!trace->status().ok())
+        dieOn(trace->status());
     std::printf("replayed %llu ops from %s on one %s core: "
                 "%llu cycles (%.4f ms, IPC %.2f)\n",
                 static_cast<unsigned long long>(run.committedOps),
@@ -687,107 +612,83 @@ cmdSweep(const Args &args)
 {
     // Configurations: every CPU config by default.
     std::vector<core::CpuConfig> cfgs;
-    const std::string cfg_list = args.get("configs", "all");
+    const std::string cfg_list = args.str("configs");
     if (cfg_list == "all") {
         for (int i = 0; i < core::kNumCpuConfigs; ++i)
             cfgs.push_back(static_cast<core::CpuConfig>(i));
     } else {
         for (const std::string &name : splitCsvList(cfg_list))
-            cfgs.push_back(cpuConfigByName(name));
+            cfgs.push_back(orDie(core::cpuConfigFromName(name)));
     }
 
     // Workload specs crossed with the CPU configs.
-    std::vector<std::string> specs =
-        splitCsvList(args.get("workloads", ""));
+    std::vector<std::string> specs = splitCsvList(args.str("workloads"));
     std::vector<core::SweepCell> cells;
-    if (!specs.empty()) {
-        auto crossed = core::crossCpuCells(cfgs, specs);
-        if (!crossed.ok())
-            dieOn(crossed.status());
-        cells = std::move(crossed.value());
-    }
+    if (!specs.empty())
+        cells = orDie(core::crossCpuCells(cfgs, specs));
 
     // GPU cells: every named GPU config x every kernel spec.
-    const auto gpu_cfg_list =
-        splitCsvList(args.get("gpu-configs", ""));
-    const auto kernel_list = splitCsvList(args.get("kernels", ""));
-    for (const std::string &name : gpu_cfg_list) {
-        const core::GpuConfig gcfg = gpuConfigByName(name);
+    const auto kernel_list = splitCsvList(args.str("kernels"));
+    for (const std::string &name : splitCsvList(args.str("gpu-configs"))) {
+        const core::GpuConfig gcfg =
+            orDie(core::gpuConfigFromName(name));
         for (const std::string &k : kernel_list)
             cells.push_back(core::gpuKernelCell(gcfg, k));
     }
 
     // Individually added cells: "Config/spec" entries.
-    for (const std::string &entry :
-         splitCsvList(args.get("cells", ""))) {
+    for (const std::string &entry : splitCsvList(args.str("cells"))) {
         const size_t slash = entry.find('/');
         if (slash == std::string::npos)
             die("bad --cells entry '%s' (expected Config/workload)",
                 entry.c_str());
-        auto cell =
-            core::parseWorkloadSpec(entry.substr(slash + 1));
-        if (!cell.ok())
-            dieOn(cell.status());
-        if (cell.value().kind == core::SweepCell::Kind::GpuKernel)
-            cell.value().gpuCfg =
-                gpuConfigByName(entry.substr(0, slash));
+        core::SweepCell cell =
+            orDie(core::parseWorkloadSpec(entry.substr(slash + 1)));
+        const std::string cfg = entry.substr(0, slash);
+        if (cell.kind == core::SweepCell::Kind::GpuKernel)
+            cell.gpuCfg = orDie(core::gpuConfigFromName(cfg));
         else
-            cell.value().cpuCfg =
-                cpuConfigByName(entry.substr(0, slash));
-        cells.push_back(std::move(cell.value()));
+            cell.cpuCfg = orDie(core::cpuConfigFromName(cfg));
+        cells.push_back(std::move(cell));
     }
 
     if (cells.empty())
         die("sweep needs --workloads, --kernels, or --cells");
 
     core::SweepOptions opts;
-    opts.exp.scale = args.getD("scale", 1.0);
-    opts.exp.freqGhz = args.getD("freq", 2.0);
-    opts.exp.seed = args.getU("seed", 1);
-    opts.exp.watchdogCycles = args.getU("watchdog-cycles", 0);
-    opts.exp.noSkip = args.getU("no-skip", 0) != 0;
-    opts.wallLimitMs = args.getD("timeout-ms", 0.0);
-    opts.isolate = args.getU("no-isolate", 0) == 0;
-    opts.jobs = static_cast<unsigned>(args.getU("jobs", 1));
+    opts.exp = experimentOptions(args);
+    opts.wallLimitMs = args.num("timeout-ms");
+    opts.isolate = !args.flag("no-isolate");
+    opts.jobs = static_cast<unsigned>(args.count("jobs"));
     opts.verbose = true;
 
     std::optional<core::ResultStore> store = openStoreArg(args);
     opts.store = store ? &*store : nullptr;
-    opts.resume = args.getU("resume", 0) != 0;
-    opts.maxRetries =
-        static_cast<uint32_t>(args.getU("retries", 0));
-    opts.retryBackoffMs = args.getD("retry-backoff-ms", 50.0);
+    opts.resume = args.flag("resume");
+    opts.maxRetries = static_cast<uint32_t>(args.count("retries"));
+    opts.retryBackoffMs = args.num("retry-backoff-ms");
     if (opts.resume && !opts.store)
         die("--resume 1 needs --store <dir> (nothing to replay)");
-    opts.exp.checkpointEveryCycles =
-        args.getU("checkpoint-every", 0);
-    if (opts.exp.checkpointEveryCycles > 0) {
-        if (!opts.store)
-            die("--checkpoint-every needs --store <dir> "
-                "(mid-run checkpoints live in the store directory)");
+    // Mid-run cell checkpoints live in the store directory.
+    if (opts.exp.checkpointEveryCycles > 0)
         opts.checkpointDir = store->dir();
-        installPreemptHandler();
-        opts.exp.preempt = &g_preempt;
-    }
 
     const core::SweepReport report = core::runSweep(cells, opts);
-    const Status printed =
-        printSweepReport(report, args.get("csv"));
-    if (!printed.ok())
-        dieOn(printed);
+    if (const Status s = printSweepReport(report, args.str("csv"));
+        !s.ok())
+        dieOn(s);
     if (report.preempted()) {
         std::printf("preempted: mid-run checkpoints journaled in "
                     "%s; rerun with --resume 1 to continue\n",
                     store->dir().c_str());
         return kExitPreempted;
     }
-    const std::string report_path = args.get("report-json");
-    if (!report_path.empty()) {
-        const Status s =
-            core::writeSweepReportJson(report, report_path);
-        if (!s.ok())
+    if (args.has("report-json")) {
+        const std::string path = args.str("report-json");
+        if (const Status s = core::writeSweepReportJson(report, path);
+            !s.ok())
             dieOn(s);
-        std::printf("report: %s\n", report_path.c_str());
+        std::printf("report: %s\n", path.c_str());
     }
     // Per-cell failures are data, not a process failure: a sweep
     // that completes exits 0 so batch drivers keep their results.
@@ -821,30 +722,22 @@ tableIvNameGpu(uint64_t hash)
 int
 cmdDse(const Args &args)
 {
-    const std::string space = args.get("space", "cpu");
+    const std::string space = args.str("space");
     if (space != "cpu" && space != "gpu")
         die("--space must be cpu or gpu, got '%s'", space.c_str());
 
     core::DseOptions opts;
-    opts.exp.scale = args.getD("scale", 0.05);
-    opts.exp.freqGhz = args.getD("freq", 2.0);
-    opts.exp.seed = args.getU("seed", 1);
-    opts.exp.noSkip = args.getU("no-skip", 0) != 0;
-    opts.jobs = static_cast<unsigned>(args.getU("jobs", 1));
-    opts.areaBudgetMm2 = args.getD("budget-mm2", 0.0);
-    const auto objective =
-        core::dseObjectiveFromName(args.get("objective", "ed2"));
-    if (!objective.ok())
-        dieOn(objective.status());
-    opts.objective = objective.value();
+    opts.exp = experimentOptions(args);
+    opts.jobs = static_cast<unsigned>(args.count("jobs"));
+    opts.areaBudgetMm2 = args.num("budget-mm2");
+    opts.objective =
+        orDie(core::dseObjectiveFromName(args.str("objective")));
 
-    const std::string strategy =
-        args.get("strategy", "exhaustive");
+    const std::string strategy = args.str("strategy");
     if (strategy != "exhaustive" && strategy != "greedy")
         die("--strategy must be exhaustive or greedy, got '%s'",
             strategy.c_str());
-    const uint64_t repeat = std::max<uint64_t>(
-        args.getU("repeat", 1), 1);
+    const uint64_t repeat = std::max<uint64_t>(args.count("repeat"), 1);
 
     std::optional<core::ResultStore> store = openStoreArg(args);
     opts.store = store ? &*store : nullptr;
@@ -856,29 +749,24 @@ cmdDse(const Args &args)
 
     for (uint64_t pass = 1; pass <= repeat; ++pass) {
         if (space == "cpu") {
-            const auto app =
-                workload::findCpuApp(args.get("app", "fft"));
-            if (!app.ok())
-                dieOn(app.status());
+            const workload::AppProfile *app =
+                orDie(workload::findCpuApp(args.str("app")));
             if (strategy == "greedy") {
-                points = core::greedyCpuSearch(*app.value(), opts,
-                                               pool, cache);
+                points = core::greedyCpuSearch(*app, opts, pool, cache);
             } else {
                 points = core::evaluateCpuDesigns(
-                    core::enumerateCpuDesigns(), *app.value(), opts,
-                    pool, cache);
+                    core::enumerateCpuDesigns(), *app, opts, pool,
+                    cache);
             }
         } else {
             if (strategy == "greedy")
                 die("--strategy greedy explores the CPU space; "
                     "the 17-design GPU space is exhaustive-only");
-            const auto kernel = workload::findGpuKernel(
-                args.get("kernel", "matrixmul"));
-            if (!kernel.ok())
-                dieOn(kernel.status());
+            const workload::KernelProfile *kernel =
+                orDie(workload::findGpuKernel(args.str("kernel")));
             points = core::evaluateGpuDesigns(
-                core::enumerateGpuDesigns(), *kernel.value(), opts,
-                pool, cache);
+                core::enumerateGpuDesigns(), *kernel, opts, pool,
+                cache);
         }
         const uint64_t hits = cache.hits() - prev_hits;
         const uint64_t misses = cache.misses() - prev_misses;
@@ -940,129 +828,29 @@ cmdDse(const Args &args)
                     static_cast<unsigned long long>(sc.quarantined));
     }
 
-    const std::string report_path = args.get("report-json");
-    if (!report_path.empty()) {
-        const std::string workload = space == "cpu"
-            ? args.get("app", "fft")
-            : args.get("kernel", "matrixmul");
+    if (args.has("report-json")) {
+        const std::string path = args.str("report-json");
         const Status s = core::writeDseReportJson(
-            points, workload, opts.objective, report_path);
+            points, args.str(space == "cpu" ? "app" : "kernel"),
+            opts.objective, path);
         if (!s.ok())
             dieOn(s);
-        std::printf("report: %s\n", report_path.c_str());
+        std::printf("report: %s\n", path.c_str());
     }
 
-    const std::string csv = args.get("csv");
+    const std::string csv = args.str("csv");
     if (!csv.empty() && !t.writeCsv(csv))
         die("cannot write '%s'", csv.c_str());
     return 0;
 }
 
-/** Self-pipe fd of the running serve daemon; written once before the
- *  handlers are installed, read by the (async-signal-safe) handler. */
-volatile sig_atomic_t g_serve_drain_fd = -1;
-
-extern "C" void
-onServeDrainSignal(int)
-{
-    // Also raise the preemption flag: with --checkpoint-every, the
-    // in-flight cell drains to a checkpoint instead of running to
-    // completion (children inherit this handler, so a process-group
-    // signal reaches forked cells too).
-    g_preempt = 1;
-    if (g_serve_drain_fd >= 0) {
-        const char byte = 'q';
-        [[maybe_unused]] const ssize_t n =
-            ::write(g_serve_drain_fd, &byte, 1);
-    }
-}
-
 int
-cmdServe(const Args &args)
+cmdStore(const Args &args)
 {
-    core::ServeOptions opts;
-    opts.socketPath = args.get("socket");
-    if (opts.socketPath.empty())
-        die("serve needs --socket <path>");
-    opts.storeDir = args.get("store");
-    opts.jobs = static_cast<unsigned>(args.getU("jobs", 1));
-    opts.wallLimitMs = args.getD("timeout-ms", 0.0);
-    opts.watchdogCycles = args.getU("watchdog-cycles", 0);
-    opts.maxRetries =
-        static_cast<uint32_t>(args.getU("retries", 1));
-    opts.retryBackoffMs = args.getD("retry-backoff-ms", 50.0);
-    opts.requestTimeoutMs =
-        args.getD("request-timeout-ms", 10000.0);
-    opts.verbose = args.getU("verbose", 1) != 0;
-    opts.checkpointEveryCycles = args.getU("checkpoint-every", 0);
-    if (opts.checkpointEveryCycles > 0 && opts.storeDir.empty())
-        die("--checkpoint-every needs --store <dir> "
-            "(mid-run checkpoints live in the store directory)");
-    opts.preempt = &g_preempt;
-
-    core::BatchServer server(opts);
-    if (Status s = server.start(); !s.ok())
-        dieOn(s);
-
-    g_serve_drain_fd = server.drainWakeupFd();
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = onServeDrainSignal;
-    sigemptyset(&sa.sa_mask);
-    ::sigaction(SIGTERM, &sa, nullptr);
-    ::sigaction(SIGINT, &sa, nullptr);
-
-    std::printf("serving on %s%s%s (SIGTERM drains gracefully)\n",
-                opts.socketPath.c_str(),
-                opts.storeDir.empty() ? "" : ", store ",
-                opts.storeDir.c_str());
-    std::fflush(stdout);
-
-    const Status served = server.serve();
-    if (!served.ok())
-        dieOn(served);
-
-    const core::ServerCounters c = server.counters();
-    std::printf("drained: %llu jobs completed, %llu rejected "
-                "(%llu cells ok, %llu failed, %llu timed out, "
-                "%llu retries)\n",
-                static_cast<unsigned long long>(c.jobsCompleted),
-                static_cast<unsigned long long>(c.jobsRejected),
-                static_cast<unsigned long long>(c.cellsOk),
-                static_cast<unsigned long long>(c.cellsFailed),
-                static_cast<unsigned long long>(c.cellsTimedOut),
-                static_cast<unsigned long long>(c.retries));
-
-    const std::string report_path = args.get("report-json");
-    if (!report_path.empty()) {
-        const Status s =
-            server.buildReport().writeJson(report_path);
-        if (!s.ok())
-            dieOn(s);
-        std::printf("report: %s\n", report_path.c_str());
-    }
-    return 0;
-}
-
-int
-cmdStore(int argc, char **argv)
-{
-    if (argc < 3)
-        die("store needs a subcommand: fsck or gc");
-    const std::string sub = argv[2];
-    if (sub != "fsck" && sub != "gc")
-        die("unknown store subcommand '%s' (expected fsck or gc)",
-            sub.c_str());
-    const Args args(argc, argv, 3);
-    const std::string dir = args.get("dir");
-    if (dir.empty())
-        die("store %s needs --dir <store directory>", sub.c_str());
-
-    Result<core::StoreFsckReport> rep = core::fsckStore(
-        dir, workload::kTraceVersion, /*prune=*/sub == "gc");
-    if (!rep.ok())
-        dieOn(rep.status());
-    const core::StoreFsckReport &r = rep.value();
+    const std::string &sub = args.action();
+    const std::string dir = args.str("dir");
+    const core::StoreFsckReport r = orDie(core::fsckStore(
+        dir, workload::kTraceVersion, /*prune=*/sub == "gc"));
     for (const std::string &note : r.notes)
         std::printf("%s\n", note.c_str());
     std::printf("store %s %s: %llu entries ok, %llu corrupt "
@@ -1089,26 +877,123 @@ cmdStore(int argc, char **argv)
     return remaining > 0 ? 1 : 0;
 }
 
-int
-cmdSubmit(const Args &args)
+struct Command
 {
-    const std::string socket_path = args.get("socket");
-    if (socket_path.empty())
-        die("submit needs --socket <path>");
-    const std::string request = args.get("request");
-    if (request.empty())
-        die("submit needs --request '<flat json job>'");
+    const char *name;
+    unsigned bit;
+    int (*run)(const Args &);
+    const char *help;
+};
 
-    Result<std::string> response = core::submitJob(
-        socket_path, request, args.getD("timeout-ms", 60000.0));
-    if (!response.ok())
-        dieOn(response.status());
-    std::fputs(response.value().c_str(), stdout);
-    // Exit 2 when the daemon answered with an error document so
-    // scripts can branch without parsing JSON.
-    const bool ok =
-        response.value().find("\"ok\":true") != std::string::npos;
-    return ok ? 0 : 2;
+const Command kCommands[] = {
+    {"list", kList, cmdList,
+     "print every configuration, application and GPU kernel"},
+    {"run", kRun, cmdRun, "simulate one CPU experiment"},
+    {"gpu", kGpu, cmdGpu, "simulate one GPU experiment"},
+    {"record", kRecord, cmdRecord,
+     "record a synthetic CPU trace to a binary file"},
+    {"replay", kReplay, cmdReplay,
+     "replay a recorded trace through one core"},
+    {"sweep", kSweep, cmdSweep,
+     "run config x workload cells, each in a forked child; exits 0 "
+     "when cells fail"},
+    {"dse", kDse, cmdDse,
+     "search the per-unit hybrid design space for a Pareto front"},
+    {"store", kStore, cmdStore,
+     "fsck|gc: verify a result store, or also delete its debris; "
+     "fsck exits 1 while problem files remain"},
+};
+
+/** The usage text of the commands in `cmds`, on stderr. */
+void
+printUsage(unsigned cmds)
+{
+    const Command *only = nullptr;
+    for (const Command &c : kCommands) {
+        if (c.bit == cmds)
+            only = &c;
+    }
+    std::fprintf(stderr, "usage: hetsim_cli %s [--option value]...\n",
+                 only ? only->name : "<command>");
+    for (const Command &c : kCommands) {
+        if (c.bit & cmds)
+            std::fprintf(stderr, "  %-7s %s\n", c.name, c.help);
+    }
+    std::fprintf(stderr, "options (S text, N integer, X number; "
+                         "* required):\n");
+    static const char *const kPlaceholder[] = {"S", "N", "X", "X",
+                                               "0|1"};
+    for (const Option &o : kOptions) {
+        if (!(o.cmds & cmds))
+            continue;
+        std::string who;
+        for (const Command &c : kCommands) {
+            if (c.bit & o.cmds)
+                who += (who.empty() ? "" : ",") + std::string(c.name);
+        }
+        const std::string flag = std::string("--") + o.name + " " +
+            kPlaceholder[static_cast<int>(o.kind)] +
+            (o.dflt ? "" : " *");
+        std::fprintf(stderr, "  %-22s %-24s %s", flag.c_str(),
+                     who.c_str(), o.help);
+        if (o.dflt && *o.dflt)
+            std::fprintf(stderr, " (default %s)", o.dflt);
+        std::fprintf(stderr, "\n");
+    }
+}
+
+/** Exit 1 with `msg` and the usage text of `cmd`. */
+[[noreturn]] void
+usageError(unsigned cmd, const std::string &msg)
+{
+    std::fprintf(stderr, "error: %s\n", msg.c_str());
+    printUsage(cmd);
+    std::exit(1);
+}
+
+Args::Args(unsigned cmd, int argc, char **argv) : cmd_(cmd)
+{
+    int i = 2;
+    if (cmd == kStore) {
+        if (argc < 3 || (std::strcmp(argv[2], "fsck") != 0 &&
+                         std::strcmp(argv[2], "gc") != 0))
+            usageError(cmd, "store needs an action: fsck or gc");
+        action_ = argv[i++];
+    }
+    for (; i < argc; i += 2) {
+        const std::string opt = argv[i];
+        if (opt.compare(0, 2, "--") != 0)
+            usageError(cmd, "expected --option, got '" + opt + "'");
+        const Option *o = findOption(argv[i] + 2, cmd);
+        if (!o)
+            usageError(cmd, opt + " is not an option of " + argv[1]);
+        const std::string value = i + 1 < argc ? argv[i + 1] : "";
+        if (value.empty() || value.compare(0, 2, "--") == 0)
+            usageError(cmd, opt + " needs a value");
+        if (!given_.emplace(o->name, value).second)
+            usageError(cmd, opt + " is given twice");
+        if (const std::string why = badValue(*o, value); !why.empty())
+            usageError(cmd, opt + " '" + value + "': " + why);
+    }
+    for (const Option &o : kOptions) {
+        if ((o.cmds & cmd) && !o.dflt && !has(o.name))
+            usageError(cmd, std::string(argv[1]) + " needs --" + o.name);
+    }
+}
+
+std::string
+Args::value(const char *name) const
+{
+    if (auto it = given_.find(name); it != given_.end())
+        return it->second;
+    // An option this command does not take reads as its first
+    // entry's default, so the shared fillers need no per-command
+    // cases.
+    const Option *o = findOption(name, cmd_);
+    if (!o)
+        o = findOption(name, ~0u);
+    hetsim_assert(o && o->dflt, "no default for --%s", name);
+    return o->dflt;
 }
 
 } // namespace
@@ -1116,35 +1001,12 @@ cmdSubmit(const Args &args)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::fprintf(stderr,
-                     "usage: hetsim_cli "
-                     "{list|run|gpu|record|replay|sweep|dse|"
-                     "serve|submit|store} [--opt value]...\n"
-                     "see the file header for details\n");
-        return 1;
+    for (const Command &c : kCommands) {
+        if (argc >= 2 && std::strcmp(argv[1], c.name) == 0)
+            return c.run(Args(c.bit, argc, argv));
     }
-    const std::string cmd = argv[1];
-    if (cmd == "store")
-        return cmdStore(argc, argv);
-    const Args args(argc, argv, 2);
-    if (cmd == "list")
-        return cmdList();
-    if (cmd == "run")
-        return cmdRun(args);
-    if (cmd == "gpu")
-        return cmdGpu(args);
-    if (cmd == "record")
-        return cmdRecord(args);
-    if (cmd == "replay")
-        return cmdReplay(args);
-    if (cmd == "sweep")
-        return cmdSweep(args);
-    if (cmd == "dse")
-        return cmdDse(args);
-    if (cmd == "serve")
-        return cmdServe(args);
-    if (cmd == "submit")
-        return cmdSubmit(args);
-    die("unknown command '%s'", cmd.c_str());
+    if (argc >= 2)
+        std::fprintf(stderr, "error: unknown command '%s'\n", argv[1]);
+    printUsage(~0u);
+    return 1;
 }

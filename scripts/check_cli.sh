@@ -1,0 +1,140 @@
+#!/bin/sh
+# Contracts of the hetsim_cli front end that no unit test links:
+#   - run --store and gpu --store, run cold then warm: the warm run
+#     prints "store: verified hit", the same table and the cold run's
+#     --report-json bytes;
+#   - every option rejection exits 1, not 0 or an abort, with the
+#     option named on the first line of stderr;
+#   - replaying a trace whose registers lie outside the scoreboard
+#     exits 1 with corrupt-record instead of crashing, and the same
+#     file as a sweep cell fails that cell only;
+#   - the sweep and dse argument lists of benchmark/run.py parse, and
+#     a resumed checkpointed sweep matches its cold run.
+#
+# Usage: scripts/check_cli.sh <path to hetsim_cli>
+set -u
+cli=${1:?usage: check_cli.sh <hetsim_cli>}
+cli=$(cd "$(dirname "$cli")" && pwd)/$(basename "$cli")
+work=$(mktemp -d "${TMPDIR:-/tmp}/hetsim_cli_XXXXXX")
+trap 'rm -rf "$work"' EXIT
+# Anything a misparsed option writes lands in the scratch directory.
+cd "$work" || exit 1
+fails=0
+
+fail()
+{
+    echo "FAIL: $*" >&2
+    fails=$((fails + 1))
+}
+
+# reject <option the error must name> <hetsim_cli arguments...>
+reject()
+{
+    opt=$1
+    shift
+    "$cli" "$@" > "$work/out" 2> "$work/err"
+    rc=$?
+    [ "$rc" -eq 1 ] || fail "'$*' exited $rc, not 1"
+    head -n 1 "$work/err" | grep -q -e "$opt" ||
+        fail "'$*' did not name $opt: $(head -n 1 "$work/err")"
+}
+
+# An option the subcommand does not take.
+reject --scal run --scal 0.02
+reject --cores gpu --cores 2
+reject --freq gpu --freq 1
+reject --csv gpu --csv "$work/gpu.csv"
+reject --app list --app fft
+reject --cores sweep --workloads fft --cores 2
+reject --checkpoint dse --checkpoint "$work/x.hckp"
+# A missing value.
+reject --scale run --scale
+reject --report-json run --report-json --csv "$work/x.csv"
+reject --out record --app fft
+reject --trace replay
+reject --dir store fsck
+# A repeated option.
+reject --scale run --scale 0.1 --scale 0.2
+# A value that does not parse completely.
+reject --scale run --scale abc
+reject --scale run --scale 0.1x
+reject --seed run --seed 1.5
+reject --no-skip run --no-skip yes
+reject --jobs dse --jobs -1
+reject --resume sweep --workloads fft --resume true
+# A value out of range.
+reject --scale run --scale 0
+reject --scale run --scale -1
+reject --freq run --freq inf
+reject --cores run --cores 33
+reject --jobs sweep --workloads fft --jobs 5000
+reject --seed run --seed 18446744073709551616
+reject --timeout-ms sweep --workloads fft --timeout-ms nan
+# Needs another option.
+reject --checkpoint run --checkpoint-every 1000
+reject --store sweep --workloads fft --checkpoint-every 1000
+
+# Warm --store hits reproduce the cold run.
+for cmd in "run --config AdvHet --app fft --scale 0.05" \
+           "gpu --config AdvHet --kernel reduction --scale 0.1"; do
+    for pass in cold warm; do
+        # shellcheck disable=SC2086
+        $cli $cmd --store "$work/store" \
+            --report-json "$work/$pass.json" > "$work/$pass.txt" ||
+            fail "$cmd --store ($pass) exited $?"
+        grep -v '^store: \|^report: ' "$work/$pass.txt" \
+            > "$work/$pass.table"
+    done
+    grep -q '^store: verified hit' "$work/warm.txt" ||
+        fail "$cmd: warm rerun was not a verified store hit"
+    cmp -s "$work/cold.json" "$work/warm.json" ||
+        fail "$cmd: warm --report-json differs from the cold run"
+    cmp -s "$work/cold.table" "$work/warm.table" ||
+        fail "$cmd: warm table differs from the cold run"
+done
+
+# A trace whose first 10 records have src1 and dst set to 20000.
+"$cli" record --app fft --scale 0.01 --max 20 --out "$work/bad.trace" \
+    > /dev/null || fail "record exited $?"
+i=0
+while [ $i -lt 10 ]; do
+    for field in 4 8; do
+        # 16-byte header, 36-byte records; 20000 is 0x4e20.
+        printf '\040\116' | dd of="$work/bad.trace" bs=1 conv=notrunc \
+            seek=$((16 + 36 * i + field)) 2> /dev/null
+    done
+    i=$((i + 1))
+done
+"$cli" replay --trace "$work/bad.trace" > /dev/null 2> "$work/err"
+rc=$?
+[ "$rc" -eq 1 ] || fail "replay of the corrupt trace exited $rc, not 1"
+grep -q 'corrupt-record' "$work/err" ||
+    fail "replay of the corrupt trace: $(head -n 1 "$work/err")"
+"$cli" sweep --cells "BaseCMOS/trace:$work/bad.trace" --scale 0.01 \
+    > "$work/out" 2> /dev/null || fail "corrupt-cell sweep exited $?"
+grep -q '0 ok, 1 failed' "$work/out" ||
+    fail "sweep with a corrupt cell: $(tail -n 1 "$work/out")"
+
+# The argument lists benchmark/run.py passes.
+sweep="sweep --configs all --workloads fft,lock_heavy --scale 0.01 \
+--jobs 2 --seed 1 --store $work/bench --checkpoint-every 2000"
+# shellcheck disable=SC2086
+$cli $sweep --report-json "$work/sweep_cold.json" > /dev/null 2>&1 ||
+    fail "benchmark sweep (cold) exited $?"
+# shellcheck disable=SC2086
+$cli $sweep --resume 1 --report-json "$work/sweep_warm.json" \
+    > /dev/null 2>&1 || fail "benchmark sweep (warm) exited $?"
+cmp -s "$work/sweep_cold.json" "$work/sweep_warm.json" ||
+    fail "resumed benchmark sweep differs from its cold run"
+"$cli" sweep --gpu-configs BaseCMOS,AdvHet --kernels dct --scale 0.05 \
+    --jobs 2 --report-json "$work/gpu_cells.json" > /dev/null 2>&1 ||
+    fail "benchmark GPU sweep exited $?"
+"$cli" dse --space cpu --app fft --scale 0.002 --jobs 2 --seed 1 \
+    --report-json "$work/dse.json" > /dev/null ||
+    fail "benchmark dse exited $?"
+
+if [ "$fails" -gt 0 ]; then
+    echo "$fails CLI contract(s) failed" >&2
+    exit 1
+fi
+echo "ok: hetsim_cli contracts hold"

@@ -15,15 +15,16 @@ ctest --test-dir build --output-on-failure
 # multicore and skip tests because the core's ring queues index their
 # slots with computed offsets; the GPU, wavefront and RF-cache tests
 # because the GPU run loop indexes per-CU wake cycles and each CU
-# keeps an occupied-slot count.
+# keeps an occupied-slot count; hetsim_cli and cli_contracts because
+# that test feeds the option parser and the trace decoder bad input.
 cmake -B build-asan -G Ninja -DHETSIM_SANITIZE="address;undefined"
 cmake --build build-asan --target test_status test_trace_file \
-      test_fault_inject test_sweep test_result_store test_json \
-      test_server test_checkpoint test_cache test_branch_pred \
-      test_hierarchy test_sync test_ooo_core test_multicore test_skip \
-      test_gpu test_wavefront test_rf_cache
+      test_fault_inject test_sweep test_result_store test_checkpoint \
+      test_cache test_branch_pred test_hierarchy test_sync \
+      test_ooo_core test_multicore test_skip test_gpu test_wavefront \
+      test_rf_cache hetsim_cli
 ctest --test-dir build-asan --output-on-failure \
-      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_json|test_server|test_checkpoint|test_cache|test_branch_pred|test_hierarchy|test_sync|test_ooo_core|test_multicore|test_skip|test_gpu|test_wavefront|test_rf_cache'
+      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_checkpoint|test_cache|test_branch_pred|test_hierarchy|test_sync|test_ooo_core|test_multicore|test_skip|test_gpu|test_wavefront|test_rf_cache|cli_contracts'
 
 # Concurrency pass: the thread-pool, design-space-exploration, and
 # shared-memory contention tests under ThreadSanitizer, so a data race
@@ -95,18 +96,10 @@ build/examples/hetsim_cli run --config BaseHet --app lock_heavy \
       > /dev/null
 cmp build/skip_lock_a.json build/skip_lock_b.json
 
-# Durable-store smoke: a warm rerun against the result store must be
-# byte-identical to the cold run that populated it, for single runs
-# and for resumed sweeps alike.
+# Durable-store smoke: a resumed sweep against the result store must
+# be byte-identical to the cold sweep that populated it (ctest's
+# cli_contracts covers warm run --store and gpu --store hits).
 rm -rf build/store_smoke
-build/examples/hetsim_cli run --config AdvHet --app fft \
-      --scale 0.05 --store build/store_smoke \
-      --report-json build/store_cold.json > /dev/null
-build/examples/hetsim_cli run --config AdvHet --app fft \
-      --scale 0.05 --store build/store_smoke \
-      --report-json build/store_warm.json \
-      | grep -q 'store: verified hit'
-cmp build/store_cold.json build/store_warm.json
 build/examples/hetsim_cli sweep --configs all --workloads fft,lu \
       --scale 0.05 --store build/store_smoke \
       --report-json build/sweep_cold.json > /dev/null
@@ -207,30 +200,6 @@ build/examples/hetsim_cli store fsck --dir build/store_ckpt \
       && exit 1 || true
 build/examples/hetsim_cli store gc --dir build/store_ckpt
 build/examples/hetsim_cli store fsck --dir build/store_ckpt
-
-# Batch-server smoke: a resident daemon answers ping/run/stats jobs,
-# survives a malformed request, drains cleanly on SIGTERM, and writes
-# a counter-carrying server report.
-rm -rf build/store_serve
-SOCK=build/hetsim_serve.sock
-rm -f "$SOCK" "$SOCK.lock"
-build/examples/hetsim_cli serve --socket "$SOCK" \
-      --store build/store_serve --verbose 0 \
-      --report-json build/serve_report.json &
-serve_pid=$!
-build/examples/hetsim_cli submit --socket "$SOCK" \
-      --request '{"cmd":"ping"}' | grep -q '"ok":true'
-build/examples/hetsim_cli submit --socket "$SOCK" \
-      --request '{"cmd":"run","config":"AdvHet","workload":"fft","scale":0.05}' \
-      | grep -q '"ok":true'
-build/examples/hetsim_cli submit --socket "$SOCK" \
-      --request 'not json at all' && exit 1 || true
-build/examples/hetsim_cli submit --socket "$SOCK" \
-      --request '{"cmd":"stats"}' | grep -q 'jobs_accepted'
-kill -TERM $serve_pid
-wait $serve_pid
-grep -q '"kind":"server"' build/serve_report.json
-test ! -e "$SOCK"
 
 # Substrate microbenchmarks (simulator speed, not simulated machine),
 # exported as machine-readable JSON for regression tracking.

@@ -1,5 +1,6 @@
 #include "common/file.hh"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -104,6 +105,61 @@ openFile(const std::string &path, const char *mode)
     if (!f)
         return ioError("open failed", path, errno);
     return f;
+}
+
+Status
+writeFile(const std::string &path, std::string_view bytes)
+{
+    Result<FileHandle> f = openFile(path, "wb");
+    if (!f.ok())
+        return f.status();
+    if (std::fwrite(bytes.data(), 1, bytes.size(), f->get()) !=
+        bytes.size())
+        return ioError("write failed", path);
+    return Status();
+}
+
+Status
+writeAllFd(int fd, const void *data, size_t n, const std::string &path)
+{
+    const char *p = static_cast<const char *>(data);
+    while (n > 0) {
+        const ssize_t w = ::write(fd, p, n);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            return ioError("write failed", path, errno);
+        }
+        p += w;
+        n -= static_cast<size_t>(w);
+    }
+    return Status();
+}
+
+Status
+readAllFd(int fd, std::string *out, const std::string &path)
+{
+    char buf[1 << 16];
+    out->clear();
+    while (true) {
+        const ssize_t r = ::read(fd, buf, sizeof(buf));
+        if (r < 0) {
+            if (errno == EINTR)
+                continue;
+            return ioError("read failed", path, errno);
+        }
+        if (r == 0)
+            return Status();
+        out->append(buf, static_cast<size_t>(r));
+    }
+}
+
+void
+syncDirectory(const std::string &dir)
+{
+    FdHandle d(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
+    if (d)
+        ::fsync(d.get());
 }
 
 } // namespace hetsim

@@ -9,8 +9,7 @@
  *
  * Every file-I/O failure Status built here carries the operation, the
  * path, and the symbolic errno ("open failed: /path (EACCES)") so a
- * sweep summary or server log pinpoints the failing file without a
- * strace session.
+ * sweep summary pinpoints the failing file without a strace session.
  */
 
 #ifndef HETSIM_COMMON_FILE_HH
@@ -18,6 +17,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/status.hh"
@@ -139,6 +139,21 @@ Status ioError(const char *op, const std::string &path);
 
 /** fopen() with full error context instead of a null handle. */
 Result<FileHandle> openFile(const std::string &path, const char *mode);
+
+/** Create or truncate `path` and write all of `bytes` to it. */
+Status writeFile(const std::string &path, std::string_view bytes);
+
+/** write(2) all `n` bytes to `fd`, retrying on EINTR; `path` names
+ *  the file in the error. */
+Status writeAllFd(int fd, const void *data, size_t n,
+                  const std::string &path);
+
+/** read(2) `fd` to its end into `out`, retrying on EINTR. */
+Status readAllFd(int fd, std::string *out, const std::string &path);
+
+/** Best-effort fsync of directory `dir`, so that a rename into it is
+ *  durable. */
+void syncDirectory(const std::string &dir);
 
 } // namespace hetsim
 

@@ -274,14 +274,7 @@ RunReport::toJson() const
 Status
 RunReport::writeJson(const std::string &path) const
 {
-    Result<FileHandle> f = openFile(path, "wb");
-    if (!f.ok())
-        return f.status();
-    const std::string json = toJson();
-    if (std::fwrite(json.data(), 1, json.size(), f->get())
-        != json.size())
-        return ioError("write failed", path);
-    return Status();
+    return writeFile(path, toJson());
 }
 
 } // namespace hetsim::obs

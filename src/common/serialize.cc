@@ -16,7 +16,7 @@ constexpr size_t kSectionPatchBytes = 8 + 8;
 } // namespace
 
 uint64_t
-serializeFnv1a(const void *data, size_t n)
+fnv1a(const void *data, size_t n)
 {
     const unsigned char *p = static_cast<const unsigned char *>(data);
     uint64_t h = 0xcbf29ce484222325ull;
@@ -54,8 +54,7 @@ Serializer::endSection()
     inSection_ = false;
     const size_t payload_at = sectionHeaderAt_ + kSectionPatchBytes;
     const uint64_t payload_len = buf_.size() - payload_at;
-    const uint64_t fnv =
-        serializeFnv1a(buf_.data() + payload_at, payload_len);
+    const uint64_t fnv = fnv1a(buf_.data() + payload_at, payload_len);
     for (size_t i = 0; i < 8; ++i) {
         buf_[sectionHeaderAt_ + i] =
             static_cast<char>(payload_len >> (8 * i));
@@ -117,7 +116,7 @@ Deserializer::openSection(const char *name)
                              name);
         return;
     }
-    if (serializeFnv1a(data_.data() + pos_, payload_len) != fnv) {
+    if (fnv1a(data_.data() + pos_, payload_len) != fnv) {
         err_ = Status::error(ErrorCode::CorruptRecord,
                              "checkpoint section '%s' checksum "
                              "mismatch", name);

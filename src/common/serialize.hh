@@ -38,8 +38,15 @@
 namespace hetsim
 {
 
-/** FNV-1a over a byte range (same parameters as the result store). */
-uint64_t serializeFnv1a(const void *data, size_t n);
+/** 64-bit FNV-1a over a byte range: the checksum of checkpoint
+ *  sections and store entries, and the DSE design hash. */
+uint64_t fnv1a(const void *data, size_t n);
+
+inline uint64_t
+fnv1a(std::string_view s)
+{
+    return fnv1a(s.data(), s.size());
+}
 
 /**
  * Checkpoint control shared by the chip runners (cpu::Multicore::run,

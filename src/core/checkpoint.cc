@@ -36,52 +36,6 @@ struct CheckpointHeader
 
 constexpr char kMagic[4] = {'H', 'C', 'P', '\n'};
 
-Status
-writeAllFd(int fd, const void *data, size_t n, const std::string &path)
-{
-    const char *p = static_cast<const char *>(data);
-    while (n > 0) {
-        const ssize_t w = ::write(fd, p, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return ioError("write failed", path, errno);
-        }
-        p += w;
-        n -= static_cast<size_t>(w);
-    }
-    return Status();
-}
-
-Status
-readAllFd(int fd, std::string *out, const std::string &path)
-{
-    char buf[1 << 16];
-    out->clear();
-    while (true) {
-        const ssize_t r = ::read(fd, buf, sizeof(buf));
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return ioError("read failed", path, errno);
-        }
-        if (r == 0)
-            return Status();
-        out->append(buf, static_cast<size_t>(r));
-    }
-}
-
-void
-syncDirectoryOf(const std::string &path)
-{
-    const size_t slash = path.rfind('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : path.substr(0, slash);
-    FdHandle d(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
-    if (d)
-        ::fsync(d.get());
-}
-
 /** Sideline a failed checkpoint so it is never restored from. */
 void
 quarantineCheckpoint(const std::string &path, const char *reason)
@@ -111,11 +65,10 @@ checkpointProblem(const std::string &raw, uint32_t trace_version,
         return "trace format version mismatch";
     if (raw.size() != sizeof(*hdr) + hdr->keyLen + hdr->payloadLen)
         return "size mismatch";
-    if (serializeFnv1a(raw.data() + sizeof(*hdr), hdr->keyLen) !=
-        hdr->keyFnv)
+    if (fnv1a(raw.data() + sizeof(*hdr), hdr->keyLen) != hdr->keyFnv)
         return "key checksum mismatch";
-    if (serializeFnv1a(raw.data() + sizeof(*hdr) + hdr->keyLen,
-                       hdr->payloadLen) != hdr->payloadFnv)
+    if (fnv1a(raw.data() + sizeof(*hdr) + hdr->keyLen,
+              hdr->payloadLen) != hdr->payloadFnv)
         return "payload checksum mismatch";
     return nullptr;
 }
@@ -134,8 +87,8 @@ saveCheckpoint(const std::string &path, const std::string &key,
     hdr.keyLen = static_cast<uint32_t>(key.size());
     hdr.payloadLen = payload.size();
     hdr.cycle = cycle;
-    hdr.keyFnv = serializeFnv1a(key.data(), key.size());
-    hdr.payloadFnv = serializeFnv1a(payload.data(), payload.size());
+    hdr.keyFnv = fnv1a(key);
+    hdr.payloadFnv = fnv1a(payload);
 
     char suffix[48];
     static uint64_t tmp_seq = 0;
@@ -174,7 +127,8 @@ saveCheckpoint(const std::string &path, const std::string &key,
         ::unlink(tmp.c_str());
         return rs;
     }
-    syncDirectoryOf(path);
+    const size_t slash = path.rfind('/');
+    syncDirectory(slash == std::string::npos ? "." : path.substr(0, slash));
     return Status();
 }
 

@@ -7,6 +7,7 @@
 
 #include "common/file.hh"
 #include "common/logging.hh"
+#include "common/serialize.hh"
 #include "core/area.hh"
 
 namespace hetsim::core
@@ -42,18 +43,6 @@ deviceLetter(DeviceClass dev)
       default:
         return '?';
     }
-}
-
-/** FNV-1a over a string: stable across platforms and runs. */
-uint64_t
-fnv1a(const std::string &s)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 void
@@ -1022,14 +1011,7 @@ writeDseReportJson(const std::vector<DsePoint> &points,
                    const std::string &workload,
                    DseObjective objective, const std::string &path)
 {
-    const std::string j = dseReportToJson(points, workload, objective);
-    Result<FileHandle> f = openFile(path, "wb");
-    if (!f.ok())
-        return f.status();
-    if (std::fwrite(j.data(), 1, j.size(), f.value().get()) !=
-        j.size())
-        return ioError("short write to dse report", path, errno);
-    return Status();
+    return writeFile(path, dseReportToJson(points, workload, objective));
 }
 
 } // namespace hetsim::core

@@ -13,6 +13,7 @@
 
 #include "common/file.hh"
 #include "common/logging.hh"
+#include "common/serialize.hh"
 #include "core/checkpoint.hh"
 
 namespace hetsim::core
@@ -37,65 +38,7 @@ struct EntryHeader
 
 constexpr char kMagic[4] = {'H', 'R', 'S', '\n'};
 
-/** write(2) the whole buffer, retrying on EINTR. */
-Status
-writeAllFd(int fd, const void *data, size_t n, const std::string &path)
-{
-    const char *p = static_cast<const char *>(data);
-    while (n > 0) {
-        const ssize_t w = ::write(fd, p, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return ioError("write failed", path, errno);
-        }
-        p += w;
-        n -= static_cast<size_t>(w);
-    }
-    return Status();
-}
-
-/** Read the whole file into `out` (size-bounded by the caller). */
-Status
-readAllFd(int fd, std::string *out, const std::string &path)
-{
-    char buf[1 << 16];
-    out->clear();
-    while (true) {
-        const ssize_t r = ::read(fd, buf, sizeof(buf));
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return ioError("read failed", path, errno);
-        }
-        if (r == 0)
-            return Status();
-        out->append(buf, static_cast<size_t>(r));
-    }
-}
-
-/** Best-effort directory fsync so the rename itself is durable. */
-void
-syncDirectory(const std::string &dir)
-{
-    FdHandle d(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
-    if (d)
-        ::fsync(d.get());
-}
-
 } // namespace
-
-uint64_t
-storeFnv1a(const void *data, size_t n)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 Status
 makeDirectories(const std::string &dir)
@@ -141,8 +84,7 @@ ResultStore::entryPath(const std::string &key) const
 {
     char name[32];
     std::snprintf(name, sizeof(name), "%016llx",
-                  static_cast<unsigned long long>(
-                      storeFnv1a(key.data(), key.size())));
+                  static_cast<unsigned long long>(fnv1a(key)));
     return dir_ + "/" + name + kEntrySuffix;
 }
 
@@ -201,11 +143,10 @@ ResultStore::get(const std::string &key)
     else if (raw.size() !=
              sizeof(hdr) + hdr.keyLen + hdr.payloadLen)
         reason = "size mismatch";
-    else if (storeFnv1a(raw.data() + sizeof(hdr), hdr.keyLen) !=
-             hdr.keyFnv)
+    else if (fnv1a(raw.data() + sizeof(hdr), hdr.keyLen) != hdr.keyFnv)
         reason = "key checksum mismatch";
-    else if (storeFnv1a(raw.data() + sizeof(hdr) + hdr.keyLen,
-                        hdr.payloadLen) != hdr.payloadFnv)
+    else if (fnv1a(raw.data() + sizeof(hdr) + hdr.keyLen,
+                   hdr.payloadLen) != hdr.payloadFnv)
         reason = "payload checksum mismatch";
     if (reason != nullptr) {
         quarantine(path, reason);
@@ -237,8 +178,8 @@ ResultStore::put(const std::string &key, const std::string &payload)
     hdr.traceVersion = traceVersion_;
     hdr.keyLen = static_cast<uint32_t>(key.size());
     hdr.payloadLen = payload.size();
-    hdr.keyFnv = storeFnv1a(key.data(), key.size());
-    hdr.payloadFnv = storeFnv1a(payload.data(), payload.size());
+    hdr.keyFnv = fnv1a(key);
+    hdr.payloadFnv = fnv1a(payload);
 
     const std::string path = entryPath(key);
     char suffix[48];
@@ -304,11 +245,10 @@ entryProblem(const std::string &raw, uint32_t trace_version)
         return "trace format version mismatch";
     if (raw.size() != sizeof(hdr) + hdr.keyLen + hdr.payloadLen)
         return "size mismatch";
-    if (storeFnv1a(raw.data() + sizeof(hdr), hdr.keyLen) !=
-        hdr.keyFnv)
+    if (fnv1a(raw.data() + sizeof(hdr), hdr.keyLen) != hdr.keyFnv)
         return "key checksum mismatch";
-    if (storeFnv1a(raw.data() + sizeof(hdr) + hdr.keyLen,
-                   hdr.payloadLen) != hdr.payloadFnv)
+    if (fnv1a(raw.data() + sizeof(hdr) + hdr.keyLen,
+              hdr.payloadLen) != hdr.payloadFnv)
         return "payload checksum mismatch";
     return nullptr;
 }

@@ -27,7 +27,7 @@
  *    format bump cannot resurrect stale bytes as fresh results.
  *
  * Counters (hits / misses / quarantined / puts) feed the sweep
- * summary and the batch server's RunReport. All operations are
+ * summary and the `dse --store` line. All operations are
  * thread-safe; concurrent put() of the same key is resolved by rename
  * atomicity (last writer wins, both writers wrote identical bytes for
  * a deterministic workload).
@@ -47,9 +47,6 @@
 
 namespace hetsim::core
 {
-
-/** FNV-1a over a byte range (the store's key and checksum hash). */
-uint64_t storeFnv1a(const void *data, size_t n);
 
 class ResultStore
 {

@@ -124,8 +124,7 @@ cellCheckpointPath(const std::string &cell_key,
 {
     char hex[24];
     std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(serializeFnv1a(
-                      cell_key.data(), cell_key.size())));
+                  static_cast<unsigned long long>(fnv1a(cell_key)));
     return opts.checkpointDir + "/cell-" + hex + kCheckpointSuffix;
 }
 
@@ -258,22 +257,6 @@ runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
     return res;
 }
 
-void
-writeAll(int fd, const void *data, size_t n)
-{
-    const char *p = static_cast<const char *>(data);
-    while (n > 0) {
-        const ssize_t w = ::write(fd, p, n);
-        if (w <= 0) {
-            if (errno == EINTR)
-                continue;
-            return; // Parent will see a short payload.
-        }
-        p += w;
-        n -= static_cast<size_t>(w);
-    }
-}
-
 /** Child side: run the cell and ship the result up the pipe. */
 [[noreturn]] void
 childRunCell(int fd, const SweepCell &cell, const SweepOptions &opts)
@@ -288,8 +271,10 @@ childRunCell(int fd, const SweepCell &cell, const SweepOptions &opts)
     wire.energyJ = res.energyJ;
     const std::string &msg = res.status.message();
     wire.msgLen = static_cast<uint32_t>(msg.size());
-    writeAll(fd, &wire, sizeof(wire));
-    writeAll(fd, msg.data(), msg.size());
+    // A failed write leaves the parent a short payload, which it
+    // reports as a failed cell.
+    if (writeAllFd(fd, &wire, sizeof(wire), "sweep result pipe").ok())
+        (void)writeAllFd(fd, msg.data(), msg.size(), "sweep result pipe");
     // _exit keeps the child from re-running parent atexit hooks.
     ::_exit(0);
 }
@@ -538,7 +523,7 @@ executeCell(const SweepCell &cell, const SweepOptions &opts)
             (opts.exp.preempt && *opts.exp.preempt))
             break;
         sleepBackoff(opts.retryBackoffMs, attempt + 1,
-                     serializeFnv1a(key.data(), key.size()));
+                     fnv1a(key));
     }
 
     // Journal only deterministic terminal outcomes: a replayed crash
@@ -618,7 +603,7 @@ runSweepParallel(const std::vector<SweepCell> &cells,
             t.phase = Phase::Backoff;
             t.readyAt = now + backoffMs(
                 opts.retryBackoffMs, t.attempt,
-                serializeFnv1a(keys[i].data(), keys[i].size()));
+                fnv1a(keys[i]));
             return;
         }
         r.wallMs = now - t.startMs;
@@ -1216,14 +1201,7 @@ Status
 writeSweepReportJson(const SweepReport &report,
                      const std::string &path)
 {
-    const std::string j = sweepReportToJson(report);
-    Result<FileHandle> f = openFile(path, "wb");
-    if (!f.ok())
-        return f.status();
-    if (std::fwrite(j.data(), 1, j.size(), f.value().get()) !=
-        j.size())
-        return ioError("short write to sweep report", path, errno);
-    return Status();
+    return writeFile(path, sweepReportToJson(report));
 }
 
 } // namespace hetsim::core

@@ -45,4 +45,23 @@ opClassName(OpClass c)
     return "?";
 }
 
+Status
+validateMicroOp(const MicroOp &op)
+{
+    const auto cls = static_cast<unsigned>(op.cls);
+    if (cls > static_cast<unsigned>(OpClass::WaitEvt))
+        return Status::error(ErrorCode::CorruptRecord,
+                             "invalid op class %u", cls);
+    for (const int reg : {op.src1, op.src2, op.dst}) {
+        if (reg < -1 || reg >= kNumIntRegs + kNumFpRegs)
+            return Status::error(ErrorCode::CorruptRecord,
+                                 "register %d outside [-1, %d)", reg,
+                                 kNumIntRegs + kNumFpRegs);
+    }
+    if (op.accessSize == 0 || op.accessSize > 64)
+        return Status::error(ErrorCode::CorruptRecord,
+                             "invalid access size %u", op.accessSize);
+    return Status();
+}
+
 } // namespace hetsim::cpu

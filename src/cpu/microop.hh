@@ -14,6 +14,8 @@
 
 #include <cstdint>
 
+#include "common/status.hh"
+
 namespace hetsim::cpu
 {
 
@@ -33,8 +35,8 @@ enum class OpClass : uint8_t
     Return,  ///< Return (pops the RAS).
     Barrier, ///< Thread barrier marker (multicore synchronization).
     Nop,
-    // Synchronization records (trace format v3). Appended after Nop so
-    // the v1/v2 encodings of the classic classes stay stable on disk.
+    // Synchronization records, appended after Nop so the encodings of
+    // the classic classes stay stable on disk.
     LockAcquire, ///< Acquire the spin lock at `addr` (blocks if held).
     LockRelease, ///< Release the spin lock at `addr`.
     SignalEvt,   ///< Producer/consumer: post the semaphore at `addr`.
@@ -91,11 +93,17 @@ struct MicroOp
     uint64_t addr = 0;   ///< Effective address for loads/stores.
     uint64_t target = 0; ///< Actual next PC for branches.
     bool taken = false;  ///< Actual direction for conditional branches.
-    /** Access width in bytes for loads/stores. Legacy (v1) trace files
-     *  carry no size; they replay as 8-byte accesses, which matches
-     *  the old fixed-granularity behaviour exactly. */
-    uint8_t accessSize = 8;
+    uint8_t accessSize = 8; ///< Access width in bytes, 1-64.
 };
+
+/**
+ * Ok when the core can execute `op`: its class is at most WaitEvt,
+ * each register is -1 or in [0, kNumIntRegs + kNumFpRegs), and its
+ * access size is 1-64 bytes. Otherwise a CorruptRecord Status. Every
+ * decoder of stored micro-ops (trace files, checkpoints) calls it,
+ * because the core indexes its scoreboard with the registers.
+ */
+Status validateMicroOp(const MicroOp &op);
 
 /** Pull interface implemented by the workload generators. */
 class TraceSource

@@ -728,6 +728,9 @@ putMicroOp(Serializer &ser, const MicroOp &op)
     ser.putU8(op.accessSize);
 }
 
+/** Decode one micro-op; an op the core cannot execute fails the
+ *  restore, so the run cold-starts instead of indexing out of
+ *  bounds. */
 MicroOp
 getMicroOp(Deserializer &des)
 {
@@ -741,6 +744,8 @@ getMicroOp(Deserializer &des)
     op.target = des.getU64();
     op.taken = des.getBool();
     op.accessSize = des.getU8();
+    if (const Status s = validateMicroOp(op); !s.ok())
+        des.fail(s.message().c_str());
     return op;
 }
 

@@ -18,7 +18,7 @@ struct TraceHeader
     uint64_t count;
 };
 
-/** Current (version 3, layout shared with v2) on-disk record. */
+/** On-disk record (version 3). */
 struct TraceRecord
 {
     uint8_t cls;
@@ -33,27 +33,12 @@ struct TraceRecord
     uint64_t addr;
     uint64_t target;
 };
-
-/** Legacy (version 1) on-disk record. */
-struct TraceRecordV1
-{
-    uint8_t cls;
-    uint8_t taken;
-    int16_t src1;
-    int16_t src2;
-    int16_t dst;
-    uint64_t pc;
-    uint64_t addr;
-    uint64_t target;
-};
 #pragma pack(pop)
 
 static_assert(sizeof(TraceHeader) == kTraceHeaderBytes,
               "header layout drifted");
 static_assert(sizeof(TraceRecord) == kTraceRecordBytes,
               "record layout drifted");
-static_assert(sizeof(TraceRecordV1) == kTraceRecordBytesV1,
-              "v1 record layout drifted");
 
 TraceRecord
 pack(const cpu::MicroOp &op)
@@ -80,24 +65,6 @@ unpack(const TraceRecord &r)
     op.cls = static_cast<cpu::OpClass>(r.cls);
     op.taken = r.taken != 0;
     op.accessSize = r.size;
-    op.src1 = r.src1;
-    op.src2 = r.src2;
-    op.dst = r.dst;
-    op.pc = r.pc;
-    op.addr = r.addr;
-    op.target = r.target;
-    return op;
-}
-
-cpu::MicroOp
-unpackV1(const TraceRecordV1 &r)
-{
-    cpu::MicroOp op;
-    op.cls = static_cast<cpu::OpClass>(r.cls);
-    op.taken = r.taken != 0;
-    // v1 predates the access-size field; every memory op replayed as
-    // an 8-byte access, so keep that for bit-identical replay.
-    op.accessSize = 8;
     op.src1 = r.src1;
     op.src2 = r.src2;
     op.dst = r.dst;
@@ -178,13 +145,10 @@ FileTrace::open(const std::string &path)
         return Status::error(ErrorCode::BadMagic,
                              "'%s' is not a HetSim trace (bad magic)",
                              path.c_str());
-    if (header.version != 1 && header.version != 2 &&
-        header.version != kTraceVersion)
+    if (header.version != kTraceVersion)
         return Status::error(ErrorCode::UnsupportedVersion,
                              "trace '%s' has unsupported version %u",
                              path.c_str(), header.version);
-    const uint64_t record_bytes = header.version == 1
-        ? kTraceRecordBytesV1 : kTraceRecordBytes;
 
     // The payload must hold whole records, exactly as many as the
     // header claims; anything else means the file was cut or edited.
@@ -199,21 +163,21 @@ FileTrace::open(const std::string &path)
                              path.c_str());
     const uint64_t payload =
         static_cast<uint64_t>(end) - kTraceHeaderBytes;
-    if (payload % record_bytes != 0)
+    if (payload % kTraceRecordBytes != 0)
         return Status::error(
             ErrorCode::TruncatedStream,
             "trace '%s' record stream is cut mid-record "
             "(%llu stray bytes)",
             path.c_str(),
-            static_cast<unsigned long long>(payload % record_bytes));
-    if (payload / record_bytes != header.count)
+            static_cast<unsigned long long>(payload % kTraceRecordBytes));
+    if (payload / kTraceRecordBytes != header.count)
         return Status::error(
             ErrorCode::SizeMismatch,
             "trace '%s' header claims %llu records but the file "
             "holds %llu",
             path.c_str(),
             static_cast<unsigned long long>(header.count),
-            static_cast<unsigned long long>(payload / record_bytes));
+            static_cast<unsigned long long>(payload / kTraceRecordBytes));
     if (std::fseek(f.get(), static_cast<long>(kTraceHeaderBytes),
                    SEEK_SET) != 0)
         return Status::error(ErrorCode::IoError,
@@ -221,8 +185,7 @@ FileTrace::open(const std::string &path)
                              path.c_str());
 
     return std::unique_ptr<FileTrace>(
-        new FileTrace(std::move(f), path, header.count,
-                      header.version));
+        new FileTrace(std::move(f), path, header.count));
 }
 
 bool
@@ -230,52 +193,22 @@ FileTrace::next(cpu::MicroOp &op)
 {
     if (!status_.ok() || pos_ >= count_)
         return false;
-    uint8_t cls;
-    if (version_ == 1) {
-        TraceRecordV1 r;
-        if (std::fread(&r, sizeof(r), 1, file_.get()) != 1) {
-            // The open-time size check makes this unreachable unless
-            // the file changed underneath us; degrade to an early
-            // end.
-            status_ = Status::error(
-                ErrorCode::TruncatedStream,
-                "trace '%s' truncated at record %llu", path_.c_str(),
-                static_cast<unsigned long long>(pos_));
-            return false;
-        }
-        cls = r.cls;
-        op = unpackV1(r);
-    } else {
-        TraceRecord r;
-        if (std::fread(&r, sizeof(r), 1, file_.get()) != 1) {
-            status_ = Status::error(
-                ErrorCode::TruncatedStream,
-                "trace '%s' truncated at record %llu", path_.c_str(),
-                static_cast<unsigned long long>(pos_));
-            return false;
-        }
-        if (r.size == 0 || r.size > 64) {
-            status_ = Status::error(
-                ErrorCode::CorruptRecord,
-                "trace '%s' record %llu has invalid access size %u",
-                path_.c_str(), static_cast<unsigned long long>(pos_),
-                r.size);
-            return false;
-        }
-        cls = r.cls;
-        op = unpack(r);
-    }
-    // v1/v2 predate the synchronization classes; a cls beyond Nop in
-    // those versions is corruption, not a sync record.
-    const uint8_t max_cls = version_ >= 3
-        ? static_cast<uint8_t>(cpu::OpClass::WaitEvt)
-        : static_cast<uint8_t>(cpu::OpClass::Nop);
-    if (cls > max_cls) {
+    TraceRecord r;
+    if (std::fread(&r, sizeof(r), 1, file_.get()) != 1) {
+        // The open-time size check makes this unreachable unless the
+        // file changed underneath us; degrade to an early end.
         status_ = Status::error(
-            ErrorCode::CorruptRecord,
-            "trace '%s' record %llu has invalid op class %u",
+            ErrorCode::TruncatedStream,
+            "trace '%s' truncated at record %llu", path_.c_str(),
+            static_cast<unsigned long long>(pos_));
+        return false;
+    }
+    op = unpack(r);
+    if (const Status s = cpu::validateMicroOp(op); !s.ok()) {
+        status_ = Status::error(
+            ErrorCode::CorruptRecord, "trace '%s' record %llu: %s",
             path_.c_str(), static_cast<unsigned long long>(pos_),
-            cls);
+            s.message().c_str());
         return false;
     }
     ++pos_;

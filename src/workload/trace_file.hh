@@ -5,24 +5,20 @@
  * Lets users capture any TraceSource (including the synthetic
  * generators) into a compact binary file and replay it later — the
  * path for bringing externally collected instruction traces into
- * HetSim. The format is a fixed-size little-endian record stream:
+ * HetSim. The format is version 3, a fixed-size little-endian record
+ * stream:
  *
  *   header: magic "HSTR" (4 B), version u32, record count u64
- *   v3/v2 record: cls u8, taken u8, size u8, pad u8,
- *                 src1 i16, src2 i16, dst i16, pad u16,
- *                 pc u64, addr u64, target u64   (36 bytes)
- *   v1 record: cls u8, taken u8, src1 i16, src2 i16, dst i16,
- *              pc u64, addr u64, target u64   (32 bytes)
+ *   record: cls u8, taken u8, size u8, pad u8,
+ *           src1 i16, src2 i16, dst i16, pad u16,
+ *           pc u64, addr u64, target u64   (36 bytes)
  *
- * Version 2 adds the memory access size in bytes, which the core's
- * store-to-load forwarding logic needs for byte-accurate aliasing.
- * Version 3 keeps the v2 record layout but admits the explicit
- * synchronization op classes (LockAcquire/LockRelease/SignalEvt/
- * WaitEvt, carrying the sync variable's address in `addr`); a v2 or
- * v1 reader would see them as corrupt records, so the version bump
- * fences old tools. Version-1 traces stay replayable: their loads and
- * stores come back with the legacy 8-byte access size, reproducing
- * the exact behaviour they had when recorded.
+ * `size` is the memory access size in bytes, which store-to-load
+ * forwarding needs for byte-accurate aliasing. The op classes include
+ * the synchronization records (LockAcquire/LockRelease/SignalEvt/
+ * WaitEvt, carrying the sync variable's address in `addr`). Only
+ * version 3 is read: a file of any other version, including the
+ * retired versions 1 and 2, gets UnsupportedVersion.
  *
  * Replay through FileTrace is bit-identical to the original source,
  * so a recorded run reproduces the exact same simulation.
@@ -32,7 +28,8 @@
  * of aborting, so a batch sweep survives a poisoned trace. Each
  * corruption class gets a distinct ErrorCode (bad magic, unsupported
  * version, truncated header, truncated stream, count/size mismatch,
- * corrupt record).
+ * corrupt record). Every record passes cpu::validateMicroOp before
+ * the core sees it.
  */
 
 #ifndef HETSIM_WORKLOAD_TRACE_FILE_HH
@@ -57,8 +54,6 @@ constexpr uint32_t kTraceVersion = 3;
  *  header/record boundaries. */
 constexpr uint64_t kTraceHeaderBytes = 16;
 constexpr uint64_t kTraceRecordBytes = 36;
-/** Legacy v1 record size (no access-size field). */
-constexpr uint64_t kTraceRecordBytesV1 = 32;
 
 /**
  * Record up to `max_ops` micro-ops from `source` into `path`.
@@ -73,9 +68,9 @@ class FileTrace : public cpu::TraceSource
 {
   public:
     /**
-     * Open and fully validate `path`: header magic/version, and that
-     * the file size matches the header's record count exactly.
-     * Accepts the current version 3 and legacy version 1/2 traces.
+     * Open and fully validate `path`: header magic and version 3,
+     * and that the file size matches the header's record count
+     * exactly.
      */
     static Result<std::unique_ptr<FileTrace>>
     open(const std::string &path);
@@ -96,17 +91,12 @@ class FileTrace : public cpu::TraceSource
     /** Total records in the file. */
     uint64_t size() const { return count_; }
 
-    /** On-disk format version (1, 2, or 3). */
-    uint32_t version() const { return version_; }
-
     /** Rewind to the first record (also clears an error status). */
     Status rewind();
 
   private:
-    FileTrace(FileHandle file, std::string path, uint64_t count,
-              uint32_t version)
-        : file_(std::move(file)), path_(std::move(path)),
-          count_(count), version_(version)
+    FileTrace(FileHandle file, std::string path, uint64_t count)
+        : file_(std::move(file)), path_(std::move(path)), count_(count)
     {
     }
 
@@ -114,7 +104,6 @@ class FileTrace : public cpu::TraceSource
     std::string path_;
     uint64_t count_ = 0;
     uint64_t pos_ = 0;
-    uint32_t version_ = kTraceVersion;
     Status status_;
 };
 

@@ -11,6 +11,7 @@
 #define HETSIM_TESTS_CHECKPOINT_SECTIONS_HH
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 
@@ -64,32 +65,33 @@ writeLe(std::string &bytes, size_t at, size_t width, uint64_t v)
  * Serializer stream (u32 name length, name, u64 payload length, u64
  * payload FNV-1a, payload), then patch the checksum. `edit` must keep
  * the payload's length. Returns false when no such section exists.
+ * The section is found by its header bytes, not by walking from the
+ * start, because some components write stats between sections.
  */
 inline bool
 rewriteSection(std::string &stream, const char *name,
                const std::function<void(std::string &)> &edit)
 {
-    size_t pos = 0;
-    while (pos + 4 <= stream.size()) {
-        const size_t name_len = readLe(stream, pos, 4);
-        const size_t len_at = pos + 4 + name_len;
-        const size_t payload_at = len_at + 16;
-        if (payload_at > stream.size())
-            return false;
-        const size_t payload_len = readLe(stream, len_at, 8);
-        if (stream.compare(pos + 4, name_len, name) == 0) {
-            std::string payload = stream.substr(payload_at, payload_len);
-            edit(payload);
-            if (payload.size() != payload_len)
-                return false;
-            stream.replace(payload_at, payload_len, payload);
-            writeLe(stream, len_at + 8, 8,
-                    serializeFnv1a(payload.data(), payload.size()));
-            return true;
-        }
-        pos = payload_at + payload_len;
-    }
-    return false;
+    std::string header(4, '\0');
+    writeLe(header, 0, 4, std::strlen(name));
+    header += name;
+    const size_t at = stream.find(header);
+    if (at == std::string::npos)
+        return false;
+    const size_t payload_at = at + header.size() + 16;
+    if (payload_at > stream.size())
+        return false;
+    const size_t payload_len = readLe(stream, at + header.size(), 8);
+    if (payload_at + payload_len > stream.size())
+        return false;
+    std::string payload = stream.substr(payload_at, payload_len);
+    edit(payload);
+    if (payload.size() != payload_len)
+        return false;
+    stream.replace(payload_at, payload_len, payload);
+    writeLe(stream, payload_at - 8, 8,
+            fnv1a(payload.data(), payload.size()));
+    return true;
 }
 
 /** Directory section payload: u64 entry count, then per entry a u64

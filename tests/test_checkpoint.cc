@@ -694,6 +694,65 @@ TEST_F(CheckpointExperimentTest, InconsistentDirectoryColdStarts)
     EXPECT_EQ(report.toJson(), ref_report.toJson());
 }
 
+/** A checkpoint that passes every checksum but stages a micro-op whose
+ *  registers lie outside the core's scoreboard is refused at restore:
+ *  the run cold-starts (its preempted segment stops at the first drain
+ *  again) and still finishes byte-identical to the uninterrupted run. */
+TEST_F(CheckpointExperimentTest, CorruptStagedMicroOpColdStarts)
+{
+    const auto &app = workload::cpuApp("fft");
+    ExperimentOptions opts = baseOpts();
+    opts.checkpointKey = "cpu|BaseHet|fft|bad-micro-op";
+
+    ExperimentOptions ref_opts = opts;
+    ref_opts.checkpointPath = dir_ + "/ref" + kCheckpointSuffix;
+    obs::RunReport ref_report;
+    const CpuOutcome ref = runCpuExperiment(
+        CpuConfig::BaseHet, app, ref_opts, &ref_report);
+    ASSERT_FALSE(ref.preempted);
+
+    g_test_preempt = 1;
+    opts.preempt = &g_test_preempt;
+    const CpuOutcome cut =
+        runCpuExperiment(CpuConfig::BaseHet, app, opts);
+    g_test_preempt = 0;
+    ASSERT_TRUE(cut.preempted);
+
+    Result<LoadedCheckpoint> ckpt =
+        loadCheckpoint(path_, opts.checkpointKey);
+    ASSERT_TRUE(ckpt.ok()) << ckpt.status().toString();
+    std::string payload = ckpt->payload;
+    ASSERT_TRUE(test::rewriteSection(
+        payload, "core", [](std::string &core) {
+            // u32 core id, u64 fetch-queue length, per queued op a
+            // 33-byte micro-op and a mispredict flag, the staged
+            // flag, then the staged micro-op: class u8, src1 u16,
+            // src2 u16, dst u16, ...
+            const size_t staged =
+                4 + 8 + test::readLe(core, 4, 8) * (33 + 1) + 1;
+            ASSERT_LT(staged + 7, core.size());
+            test::writeLe(core, staged + 1, 2, 20000); // src1
+            test::writeLe(core, staged + 5, 2, 20000); // dst
+        }));
+    ASSERT_TRUE(saveCheckpoint(path_, opts.checkpointKey, ckpt->cycle,
+                               payload)
+                    .ok());
+    ::unlink((path_ + kCheckpointPrevSuffix).c_str());
+
+    g_test_preempt = 1;
+    const CpuOutcome again =
+        runCpuExperiment(CpuConfig::BaseHet, app, opts);
+    g_test_preempt = 0;
+    EXPECT_TRUE(again.preempted);
+    EXPECT_EQ(again.cycles, cut.cycles);
+
+    obs::RunReport report;
+    const CpuOutcome out =
+        runCpuExperiment(CpuConfig::BaseHet, app, opts, &report);
+    EXPECT_FALSE(out.preempted);
+    EXPECT_EQ(report.toJson(), ref_report.toJson());
+}
+
 /** A checkpoint saved under one identity must not leak into another
  *  invocation (different seed → different key → cold start). */
 TEST_F(CheckpointExperimentTest, DifferentSeedRefusesCheckpoint)

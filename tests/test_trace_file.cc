@@ -268,6 +268,81 @@ TEST(TraceFileMalformed, CorruptOpClassIsRecoverable)
     std::remove(path.c_str());
 }
 
+/** A register outside [-1, 64) would index past the core's
+ *  scoreboard, so the reader rejects the record before the core sees
+ *  it. Record offsets: src1 at 4, src2 at 6, dst at 8. */
+TEST(TraceFileMalformed, OutOfRangeRegisterIsCorruptRecord)
+{
+    for (const uint64_t field : {4u, 6u, 8u}) {
+        for (const int16_t reg : {20000, 64, -2}) {
+            const std::string path = makeSmallTrace("badreg");
+            ASSERT_TRUE(overwriteBytes(path,
+                                       kTraceHeaderBytes +
+                                           kTraceRecordBytes + field,
+                                       &reg, sizeof(reg))
+                            .ok());
+            auto r = FileTrace::open(path);
+            ASSERT_TRUE(r.ok());
+            cpu::MicroOp op;
+            EXPECT_TRUE(r.value()->next(op)); // First record intact.
+            EXPECT_FALSE(r.value()->next(op));
+            EXPECT_EQ(r.value()->status().code(),
+                      ErrorCode::CorruptRecord);
+            EXPECT_NE(r.value()->status().message().find("register"),
+                      std::string::npos);
+            std::remove(path.c_str());
+        }
+    }
+}
+
+/** Versions 1 and 2 are retired: only version 3 is read. */
+TEST(TraceFileMalformed, RetiredVersionsAreUnsupported)
+{
+    for (const uint32_t version : {1u, 2u}) {
+        const std::string path = makeSmallTrace("retired");
+        ASSERT_TRUE(overwriteBytes(path, 4, &version, 4).ok());
+        auto r = FileTrace::open(path);
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.status().code(), ErrorCode::UnsupportedVersion);
+        std::remove(path.c_str());
+    }
+}
+
+TEST(ValidateMicroOp, BoundsOfClassRegistersAndSize)
+{
+    constexpr int kRegs = cpu::kNumIntRegs + cpu::kNumFpRegs;
+    cpu::MicroOp op; // A Nop without registers.
+    EXPECT_TRUE(cpu::validateMicroOp(op).ok());
+    auto corrupt = [](const cpu::MicroOp &o) {
+        return cpu::validateMicroOp(o).code() == ErrorCode::CorruptRecord;
+    };
+
+    op.cls = cpu::OpClass::WaitEvt;
+    EXPECT_TRUE(cpu::validateMicroOp(op).ok());
+    op.cls = static_cast<cpu::OpClass>(
+        static_cast<uint8_t>(cpu::OpClass::WaitEvt) + 1);
+    EXPECT_TRUE(corrupt(op));
+    op.cls = cpu::OpClass::Load;
+
+    for (int16_t cpu::MicroOp::*reg :
+         {&cpu::MicroOp::src1, &cpu::MicroOp::src2, &cpu::MicroOp::dst}) {
+        op.*reg = kRegs - 1;
+        EXPECT_TRUE(cpu::validateMicroOp(op).ok());
+        op.*reg = kRegs;
+        EXPECT_TRUE(corrupt(op));
+        op.*reg = -2;
+        EXPECT_TRUE(corrupt(op));
+        op.*reg = -1;
+    }
+
+    op.accessSize = 64;
+    EXPECT_TRUE(cpu::validateMicroOp(op).ok());
+    op.accessSize = 65;
+    EXPECT_TRUE(corrupt(op));
+    op.accessSize = 0;
+    EXPECT_TRUE(corrupt(op));
+}
+
 TEST(TraceFileMalformed, DistinctCodesPerCorruptionClass)
 {
     // The five corruption classes of the format must stay
