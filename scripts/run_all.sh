@@ -11,11 +11,13 @@ ctest --test-dir build --output-on-failure
 # under AddressSanitizer + UBSan, so a recovered error path that leaks
 # or trips UB fails the run. The cache, branch-predictor, hierarchy
 # and contention tests are here because checkpoint restore indexes
-# their arrays with values read from payload bytes; the core,
-# multicore and skip tests because the core's ring queues index their
-# slots with computed offsets; the GPU, wavefront and RF-cache tests
-# because the GPU run loop indexes per-CU wake cycles and each CU
-# keeps an occupied-slot count; hetsim_cli and cli_contracts because
+# their arrays with values read from payload bytes, and because a
+# cache poisons the lines of each set it has not filled, so a lookup
+# that skipped the live-set check fails them (and test_gpu); the
+# core, multicore and skip tests because the core's ring queues index
+# their slots with computed offsets; the GPU, wavefront and RF-cache
+# tests because the GPU run loop indexes per-CU wake cycles and each
+# CU keeps an occupied-slot count; hetsim_cli and cli_contracts because
 # that test feeds the option parser and the trace decoder bad input.
 cmake -B build-asan -G Ninja -DHETSIM_SANITIZE="address;undefined"
 cmake --build build-asan --target test_status test_trace_file \

@@ -19,6 +19,21 @@ namespace hetsim
 {
 
 /**
+ * Success probability p of Rng::geometric(), with the log1p(-p) that
+ * every draw divides by computed once. Callers whose p is a constant
+ * build one up front.
+ */
+struct GeometricP
+{
+    explicit GeometricP(double p) : log1mP(std::log1p(-p))
+    {
+        assert(p > 0.0 && p <= 1.0);
+    }
+
+    double log1mP; ///< log(1 - p); -inf when p is 1.
+};
+
+/**
  * Deterministic random number generator (xoshiro256**).
  *
  * A freshly constructed Rng with the same seed always produces the same
@@ -102,19 +117,19 @@ class Rng
 
     /**
      * Geometrically distributed value >= 1 with success probability p.
-     * Used for dependency distances and burst lengths.
+     * Used for dependency distances. A certain success (p = 1)
+     * returns 1 without drawing.
      */
     uint64_t
-    geometric(double p)
+    geometric(GeometricP p)
     {
-        assert(p > 0.0 && p <= 1.0);
-        if (p >= 1.0)
+        if (std::isinf(p.log1mP))
             return 1;
         double u = uniform();
         // Avoid log(0).
         if (u <= 0.0)
             u = 0x1.0p-53;
-        return 1 + static_cast<uint64_t>(std::log(u) / std::log1p(-p));
+        return 1 + static_cast<uint64_t>(std::log(u) / p.log1mP);
     }
 
     /**

@@ -1,9 +1,21 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
+
+// Under ASan the lines of a set that is not live are poisoned, so a
+// lookup that skips the live check reads a red zone instead of
+// silently reading uninitialized memory.
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) \
+    ((void)(addr), (void)(size))
+#endif
 
 namespace hetsim::mem
 {
@@ -35,27 +47,33 @@ Cache::Cache(const CacheParams &params)
                   == 0, "size not divisible into sets");
     numSets_ = params_.sizeBytes / (params_.ways * params_.lineBytes);
     hetsim_assert(numSets_ >= 1, "cache needs at least one set");
-    lines_.resize(static_cast<size_t>(numSets_) * params_.ways);
+    if (std::has_single_bit(numSets_))
+        setShift_ = std::countr_zero(numSets_);
+    lines_ = std::make_unique_for_overwrite<Line[]>(
+        static_cast<size_t>(numSets_) * params_.ways);
+    live_.resize(numSets_);
+    clearLive();
 }
 
-uint32_t
-Cache::setIndex(Addr addr) const
+Cache::SetTag
+Cache::locate(Addr addr) const
 {
     // Additively folded index (as in real shared caches): regions
     // whose bases differ only in high bits spread over all sets
     // instead of aliasing into the same ones. The additive fold is
     // invertible for any set count, so non-power-of-two shared
-    // caches (e.g. a 7-core L3) work too.
+    // caches (e.g. a 7-core L3) work too. For a power-of-two count
+    // the mask and shift give the same set and tag as the division.
     const uint64_t line = lineNumber(addr);
+    if (setShift_ >= 0) {
+        const uint64_t mask = numSets_ - 1;
+        const uint64_t tag = line >> setShift_;
+        return {static_cast<uint32_t>(((line & mask) + tag) & mask),
+                tag};
+    }
     const uint64_t low = line % numSets_;
     const uint64_t tag = line / numSets_;
-    return static_cast<uint32_t>((low + tag) % numSets_);
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return lineNumber(addr) / numSets_;
+    return {static_cast<uint32_t>((low + tag) % numSets_), tag};
 }
 
 Addr
@@ -69,36 +87,57 @@ Cache::rebuildAddr(uint32_t set, Addr tag) const
 }
 
 Cache::Line *
-Cache::findLine(Addr addr)
+Cache::findLine(SetTag st)
 {
-    const uint32_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    Line *base = &lines_[static_cast<size_t>(set) * params_.ways];
+    if (!live_[st.set])
+        return nullptr;
+    Line *base = setBase(st.set);
     for (uint32_t w = 0; w < params_.ways; ++w) {
-        if (base[w].valid() && base[w].tag == tag)
+        if (base[w].valid() && base[w].tag == st.tag)
             return &base[w];
     }
     return nullptr;
 }
 
 const Cache::Line *
-Cache::findLine(Addr addr) const
+Cache::findLine(SetTag st) const
 {
-    return const_cast<Cache *>(this)->findLine(addr);
+    return const_cast<Cache *>(this)->findLine(st);
+}
+
+void
+Cache::makeLive(uint32_t set)
+{
+    // Whole lines, not only the state: the asymmetric fill copies an
+    // invalid way-0 line, and that copy must not read indeterminate
+    // fields.
+    Line *base = setBase(set);
+    ASAN_UNPOISON_MEMORY_REGION(base, sizeof(Line) * params_.ways);
+    std::fill_n(base, params_.ways,
+                Line{0, CoherenceState::Invalid, false, 0});
+    live_[set] = 1;
+}
+
+void
+Cache::clearLive()
+{
+    std::fill(live_.begin(), live_.end(), uint8_t{0});
+    ASAN_POISON_MEMORY_REGION(
+        lines_.get(), sizeof(Line) * numSets_ * params_.ways);
 }
 
 LookupResult
 Cache::access(Addr addr)
 {
     ++ctrs_.accesses;
-    const uint32_t set = setIndex(addr);
-    Line *base = &lines_[static_cast<size_t>(set) * params_.ways];
-    Line *line = findLine(addr);
+    const SetTag st = locate(addr);
+    Line *line = findLine(st);
     if (!line) {
         ++ctrs_.misses;
         return {};
     }
 
+    Line *base = setBase(st.set);
     ++ctrs_.hits;
     LookupResult res;
     res.hit = true;
@@ -123,12 +162,12 @@ Cache::access(Addr addr)
 LookupResult
 Cache::probe(Addr addr) const
 {
-    const uint32_t set = setIndex(addr);
-    const Line *base = &lines_[static_cast<size_t>(set) * params_.ways];
-    const Line *line = findLine(addr);
+    const SetTag st = locate(addr);
+    const Line *line = findLine(st);
     if (!line)
         return {};
-    return {true, params_.asymmetric && line == &base[0], line->state};
+    return {true, params_.asymmetric && line == setBase(st.set),
+            line->state};
 }
 
 Eviction
@@ -136,12 +175,14 @@ Cache::fill(Addr addr, CoherenceState state)
 {
     hetsim_assert(state != CoherenceState::Invalid,
                   "cannot fill an invalid line");
-    hetsim_assert(!contains(addr), "double fill of %llx",
+    const SetTag st = locate(addr);
+    hetsim_assert(!findLine(st), "double fill of %llx",
                   static_cast<unsigned long long>(addr));
     ++ctrs_.fills;
 
-    const uint32_t set = setIndex(addr);
-    Line *base = &lines_[static_cast<size_t>(set) * params_.ways];
+    if (!live_[st.set])
+        makeLive(st.set);
+    Line *base = setBase(st.set);
 
     // Pick the victim: an invalid way if any, else the LRU way among
     // the replacement candidates (the slow ways for asymmetric caches;
@@ -166,7 +207,7 @@ Cache::fill(Addr addr, CoherenceState state)
     Eviction ev;
     if (victim->valid()) {
         ev.valid = true;
-        ev.lineAddr = rebuildAddr(set, victim->tag);
+        ev.lineAddr = rebuildAddr(st.set, victim->tag);
         ev.dirty = victim->dirty;
         ev.state = victim->state;
         ++ctrs_.evictions;
@@ -174,11 +215,7 @@ Cache::fill(Addr addr, CoherenceState state)
             ++ctrs_.dirtyEvictions;
     }
 
-    Line incoming;
-    incoming.tag = tagOf(addr);
-    incoming.state = state;
-    incoming.dirty = false;
-    incoming.lruStamp = ++stampCounter_;
+    const Line incoming{st.tag, state, false, ++stampCounter_};
 
     if (params_.asymmetric && params_.ways > 1) {
         // New line becomes the fast (MRU) line; the old fast line is
@@ -196,7 +233,7 @@ Cache::fill(Addr addr, CoherenceState state)
 void
 Cache::setState(Addr addr, CoherenceState state)
 {
-    Line *line = findLine(addr);
+    Line *line = findLine(locate(addr));
     hetsim_assert(line, "setState on absent line %llx",
                   static_cast<unsigned long long>(addr));
     if (state == CoherenceState::Invalid) {
@@ -210,7 +247,7 @@ Cache::setState(Addr addr, CoherenceState state)
 void
 Cache::markDirty(Addr addr)
 {
-    Line *line = findLine(addr);
+    Line *line = findLine(locate(addr));
     hetsim_assert(line, "markDirty on absent line %llx",
                   static_cast<unsigned long long>(addr));
     line->dirty = true;
@@ -219,7 +256,7 @@ Cache::markDirty(Addr addr)
 bool
 Cache::invalidate(Addr addr)
 {
-    Line *line = findLine(addr);
+    Line *line = findLine(locate(addr));
     if (!line)
         return false;
     ++ctrs_.invalidations;
@@ -232,7 +269,7 @@ Cache::invalidate(Addr addr)
 bool
 Cache::downgradeToShared(Addr addr)
 {
-    Line *line = findLine(addr);
+    Line *line = findLine(locate(addr));
     if (!line)
         return false;
     ++ctrs_.downgrades;
@@ -245,13 +282,13 @@ Cache::downgradeToShared(Addr addr)
 bool
 Cache::contains(Addr addr) const
 {
-    return findLine(addr) != nullptr;
+    return findLine(locate(addr)) != nullptr;
 }
 
 CoherenceState
 Cache::stateOf(Addr addr) const
 {
-    const Line *line = findLine(addr);
+    const Line *line = findLine(locate(addr));
     return line ? line->state : CoherenceState::Invalid;
 }
 
@@ -259,9 +296,14 @@ uint32_t
 Cache::residentLines() const
 {
     uint32_t n = 0;
-    for (const Line &l : lines_)
-        if (l.valid())
-            ++n;
+    for (uint32_t set = 0; set < numSets_; ++set) {
+        if (!live_[set])
+            continue;
+        const Line *base = setBase(set);
+        for (uint32_t w = 0; w < params_.ways; ++w)
+            if (base[w].valid())
+                ++n;
+    }
     return n;
 }
 
@@ -270,8 +312,9 @@ Cache::residentAddrs() const
 {
     std::vector<Addr> out;
     for (uint32_t set = 0; set < numSets_; ++set) {
-        const Line *base = &lines_[static_cast<size_t>(set)
-                                   * params_.ways];
+        if (!live_[set])
+            continue;
+        const Line *base = setBase(set);
         for (uint32_t w = 0; w < params_.ways; ++w)
             if (base[w].valid())
                 out.push_back(rebuildAddr(set, base[w].tag));
@@ -288,17 +331,23 @@ Cache::saveState(Serializer &ser) const
     ser.putU32(params_.ways);
     ser.putU64(stampCounter_);
     // Invalid lines are dead state (every reader tests valid() before
-    // a tag or stamp), so only resident lines are written.
+    // a tag or stamp), so only resident lines are written, in array
+    // order; a set that is not live holds none.
     ser.putU32(residentLines());
-    for (uint32_t i = 0; i < lines_.size(); ++i) {
-        const Line &l = lines_[i];
-        if (!l.valid())
+    for (uint32_t set = 0; set < numSets_; ++set) {
+        if (!live_[set])
             continue;
-        ser.putU32(i);
-        ser.putU64(l.tag);
-        ser.putU8(static_cast<uint8_t>(l.state));
-        ser.putBool(l.dirty);
-        ser.putU64(l.lruStamp);
+        const Line *base = setBase(set);
+        for (uint32_t w = 0; w < params_.ways; ++w) {
+            const Line &l = base[w];
+            if (!l.valid())
+                continue;
+            ser.putU32(set * params_.ways + w);
+            ser.putU64(l.tag);
+            ser.putU8(static_cast<uint8_t>(l.state));
+            ser.putBool(l.dirty);
+            ser.putU64(l.lruStamp);
+        }
     }
     stats_.saveState(ser);
     ser.endSection();
@@ -314,9 +363,13 @@ Cache::restoreState(Deserializer &des)
         return;
     }
     stampCounter_ = des.getU64();
-    std::fill(lines_.begin(), lines_.end(), Line{});
-    SparseIndexReader resident(des, lines_.size());
+    clearLive();
+    SparseIndexReader resident(
+        des, static_cast<size_t>(numSets_) * params_.ways);
     for (size_t i = 0; resident.next(i);) {
+        const uint32_t set = static_cast<uint32_t>(i / params_.ways);
+        if (!live_[set])
+            makeLive(set);
         Line &l = lines_[i];
         l.tag = des.getU64();
         const uint8_t st = des.getU8();

@@ -15,6 +15,7 @@
 #define HETSIM_MEM_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,7 +52,15 @@ struct Eviction
     CoherenceState state = CoherenceState::Invalid;
 };
 
-/** Tag/state array of one cache level. */
+/**
+ * Tag/state array of one cache level.
+ *
+ * The line array is allocated uninitialized, and a set's ways are
+ * written (to invalid) only when the first line lands in that set. A
+ * set that was never filled holds no resident line, so building,
+ * destroying, checkpointing and restoring cost time in proportion to
+ * the set count plus the sets a run fills, not to the line count.
+ */
 class Cache
 {
   public:
@@ -124,26 +133,54 @@ class Cache
     void restoreState(Deserializer &des);
 
   private:
+    /** Trivially constructible, so the array can be allocated without
+     *  initialization; a set's ways are written when it goes live. */
     struct Line
     {
-        Addr tag = 0;
-        CoherenceState state = CoherenceState::Invalid;
-        bool dirty = false;
-        uint64_t lruStamp = 0;
+        Addr tag;
+        CoherenceState state;
+        bool dirty;
+        uint64_t lruStamp;
 
         bool valid() const { return state != CoherenceState::Invalid; }
     };
 
-    uint32_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
+    /** The set an address indexes and the tag it stores there. */
+    struct SetTag
+    {
+        uint32_t set;
+        Addr tag;
+    };
+
+    SetTag locate(Addr addr) const;
     Addr rebuildAddr(uint32_t set, Addr tag) const;
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    Line *setBase(uint32_t set)
+    {
+        return &lines_[static_cast<size_t>(set) * params_.ways];
+    }
+    const Line *setBase(uint32_t set) const
+    {
+        return &lines_[static_cast<size_t>(set) * params_.ways];
+    }
+    /** The resident line holding `st`, or nullptr (always for a set
+     *  that is not live). */
+    Line *findLine(SetTag st);
+    const Line *findLine(SetTag st) const;
+    /** Write every way of `set` to invalid and mark it live. */
+    void makeLive(uint32_t set);
+    /** Mark every set not live (poisoning the array under ASan). */
+    void clearLive();
 
     CacheParams params_;
     uint32_t numSets_;
+    /** log2(numSets_) when the set count is a power of two, else -1
+     *  (locate() then divides). */
+    int setShift_ = -1;
     uint64_t stampCounter_ = 0;
-    std::vector<Line> lines_; ///< numSets_ x ways, row-major.
+    /** numSets_ x ways, row-major; only the ways of live sets are
+     *  ever read. */
+    std::unique_ptr<Line[]> lines_;
+    std::vector<uint8_t> live_; ///< Per set: its ways were written.
     StatGroup stats_;
 
     /** Hot-path counter handles (stable StatGroup references). */

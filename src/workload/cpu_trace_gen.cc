@@ -39,7 +39,8 @@ SyntheticCpuTrace::SyntheticCpuTrace(const AppProfile &profile,
                                      uint64_t seed, double scale,
                                      double parallel_share)
     : profile_(profile), threadId_(thread_id),
-      rng_(seed * 0x9e3779b97f4a7c15ULL + thread_id + 1)
+      rng_(seed * 0x9e3779b97f4a7c15ULL + thread_id + 1),
+      intDepP_(profile.depShortP), fpDepP_(0.3 * profile.depShortP)
 {
     hetsim_assert(num_threads >= 1, "need at least one thread");
     hetsim_assert(scale > 0.0, "scale must be positive");
@@ -141,7 +142,7 @@ SyntheticCpuTrace::buildCfg()
 int16_t
 SyntheticCpuTrace::pickIntSrc()
 {
-    const uint64_t d = rng_.geometric(profile_.depShortP);
+    const uint64_t d = rng_.geometric(intDepP_);
     if (d > kHistLen)
         return 0; // far dependency: long-ready register
     const int idx = (intHistPos_ - static_cast<int>(d) + 2 * kHistLen)
@@ -156,7 +157,7 @@ SyntheticCpuTrace::pickFpSrc()
     // paper leans on this to justify deeper-pipelined TFET FPUs):
     // FP producer-consumer distances are ~3x the integer ones, long
     // enough to keep even the 8-cycle TFET multiplier pipeline fed.
-    const uint64_t d = rng_.geometric(0.3 * profile_.depShortP);
+    const uint64_t d = rng_.geometric(fpDepP_);
     if (d > kHistLen)
         return static_cast<int16_t>(cpu::kNumIntRegs);
     const int idx = (fpHistPos_ - static_cast<int>(d) + 2 * kHistLen)

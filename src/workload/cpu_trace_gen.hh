@@ -92,6 +92,10 @@ class SyntheticCpuTrace : public cpu::TraceSource
     const AppProfile &profile_;
     uint32_t threadId_;
     hetsim::Rng rng_;
+    /** Producer-consumer distance distributions: integer, and FP at
+     *  0.3x the integer success probability. */
+    const hetsim::GeometricP intDepP_;
+    const hetsim::GeometricP fpDepP_;
 
     uint64_t parallelOpsPerPhase_;
     uint64_t serialOpsPerPhase_;

@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
@@ -319,7 +320,16 @@ foldedSet(Addr addr, uint32_t sets)
 
 } // namespace
 
-class CacheRefModelTest : public ::testing::TestWithParam<uint64_t>
+/** Array size and associativity of one reference-model run. */
+struct RefGeometry
+{
+    uint32_t sizeBytes;
+    uint32_t ways;
+};
+
+using RefModelCase = std::tuple<RefGeometry, uint64_t>;
+
+class CacheRefModelTest : public ::testing::TestWithParam<RefModelCase>
 {
 };
 
@@ -327,10 +337,11 @@ class CacheRefModelTest : public ::testing::TestWithParam<uint64_t>
  *  model exactly (non-asymmetric mode). */
 TEST_P(CacheRefModelTest, MatchesReferenceLru)
 {
-    CacheParams params{"ref", 2048, 4, 64, false};
+    const auto [geom, seed] = GetParam();
+    CacheParams params{"ref", geom.sizeBytes, geom.ways, 64, false};
     Cache c(params);
-    RefCache ref(c.numSets(), 4);
-    Rng rng(GetParam());
+    RefCache ref(c.numSets(), geom.ways);
+    Rng rng(seed);
 
     for (int i = 0; i < 20000; ++i) {
         const Addr a = lineAlign(rng.range(1 << 15));
@@ -350,10 +361,11 @@ TEST_P(CacheRefModelTest, MatchesReferenceLru)
  *  hit is either fast or slow. */
 TEST_P(CacheRefModelTest, AsymmetricSameHitMissAsLru)
 {
-    CacheParams params{"asym", 2048, 4, 64, true};
+    const auto [geom, seed] = GetParam();
+    CacheParams params{"asym", geom.sizeBytes, geom.ways, 64, true};
     Cache c(params);
-    RefCache ref(c.numSets(), 4);
-    Rng rng(GetParam() ^ 0xabcdef);
+    RefCache ref(c.numSets(), geom.ways);
+    Rng rng(seed ^ 0xabcdef);
 
     uint64_t fast = 0, slow = 0;
     for (int i = 0; i < 20000; ++i) {
@@ -374,8 +386,20 @@ TEST_P(CacheRefModelTest, AsymmetricSameHitMissAsLru)
     EXPECT_EQ(fast + slow, c.stats().value("hits"));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CacheRefModelTest,
-                         ::testing::Values(1, 2, 3, 42, 99, 1234));
+// 8 sets take the mask-and-shift index path and 6 sets the division
+// path; in the 8 MiB array the 512 lines of traffic fill 512 of 8192
+// sets, so nearly every set is never filled.
+INSTANTIATE_TEST_SUITE_P(
+    GeometriesAndSeeds, CacheRefModelTest,
+    ::testing::Combine(
+        ::testing::Values(RefGeometry{2048, 4}, RefGeometry{1536, 4},
+                          RefGeometry{8 * 1024 * 1024, 16}),
+        ::testing::Values(1, 2, 3, 42, 99, 1234)),
+    [](const ::testing::TestParamInfo<RefModelCase> &info) {
+        const RefGeometry g = std::get<0>(info.param);
+        return std::to_string(g.sizeBytes / (g.ways * 64)) + "Sets_Seed" +
+               std::to_string(std::get<1>(info.param));
+    });
 
 // ---------------- Checkpoint section (resident lines only) --------
 
@@ -418,9 +442,11 @@ class CacheCheckpointTest : public ::testing::TestWithParam<bool>
 {
 };
 
-/** Save, restore into a fresh array: every probe, the re-saved bytes,
- *  and every later victim choice match the original, although the
- *  original's invalid lines still hold stale tags and stamps. */
+/** Save, restore into a fresh array and into one churned with other
+ *  traffic: every probe, the re-saved bytes, and every later victim
+ *  choice match the original, although the original's invalid lines
+ *  still hold stale tags and stamps and the churned array's sets were
+ *  live before the restore. */
 TEST_P(CacheCheckpointTest, RoundTripIsExact)
 {
     const CacheParams params{"rt", 8192, 4, 64, GetParam()};
@@ -435,17 +461,24 @@ TEST_P(CacheCheckpointTest, RoundTripIsExact)
     }
 
     const std::string bytes = savedSection(orig);
-    Cache copy(params);
-    const Status st = restoreSection(copy, bytes);
-    ASSERT_TRUE(st.ok()) << st.toString();
-    EXPECT_EQ(savedSection(copy), bytes);
-    EXPECT_EQ(copy.residentAddrs(), orig.residentAddrs());
+    Cache fresh(params);
+    Cache reused(params);
+    Rng other(23);
+    churn(reused, other, 20000);
+    for (Cache *copy : {&fresh, &reused}) {
+        const Status st = restoreSection(*copy, bytes);
+        ASSERT_TRUE(st.ok()) << st.toString();
+        EXPECT_EQ(savedSection(*copy), bytes);
+        EXPECT_EQ(copy->residentAddrs(), orig.residentAddrs());
+    }
     for (Addr a = 0; a < (1 << 15); a += 64) {
         const LookupResult x = orig.probe(a);
-        const LookupResult y = copy.probe(a);
-        ASSERT_EQ(x.hit, y.hit) << a;
-        ASSERT_EQ(x.fastHit, y.fastHit) << a;
-        ASSERT_EQ(x.state, y.state) << a;
+        for (const Cache *copy : {&fresh, &reused}) {
+            const LookupResult y = copy->probe(a);
+            ASSERT_EQ(x.hit, y.hit) << a;
+            ASSERT_EQ(x.fastHit, y.fastHit) << a;
+            ASSERT_EQ(x.state, y.state) << a;
+        }
     }
 
     // Identical later traffic, including lines never seen before:
@@ -453,19 +486,23 @@ TEST_P(CacheCheckpointTest, RoundTripIsExact)
     for (int i = 0; i < 5000; ++i) {
         const Addr a = lineAlign(rng.range(1 << 16));
         const LookupResult x = orig.access(a);
-        const LookupResult y = copy.access(a);
-        ASSERT_EQ(x.hit, y.hit) << "step " << i;
-        ASSERT_EQ(x.fastHit, y.fastHit) << "step " << i;
-        if (x.hit)
-            continue;
-        const Eviction ex = orig.fill(a, CoherenceState::Shared);
-        const Eviction ey = copy.fill(a, CoherenceState::Shared);
-        ASSERT_EQ(ex.valid, ey.valid) << "step " << i;
-        ASSERT_EQ(ex.lineAddr, ey.lineAddr) << "step " << i;
-        ASSERT_EQ(ex.dirty, ey.dirty) << "step " << i;
-        ASSERT_EQ(ex.state, ey.state) << "step " << i;
+        const Eviction ex =
+            x.hit ? Eviction{} : orig.fill(a, CoherenceState::Shared);
+        for (Cache *copy : {&fresh, &reused}) {
+            const LookupResult y = copy->access(a);
+            ASSERT_EQ(x.hit, y.hit) << "step " << i;
+            ASSERT_EQ(x.fastHit, y.fastHit) << "step " << i;
+            if (x.hit)
+                continue;
+            const Eviction ey = copy->fill(a, CoherenceState::Shared);
+            ASSERT_EQ(ex.valid, ey.valid) << "step " << i;
+            ASSERT_EQ(ex.lineAddr, ey.lineAddr) << "step " << i;
+            ASSERT_EQ(ex.dirty, ey.dirty) << "step " << i;
+            ASSERT_EQ(ex.state, ey.state) << "step " << i;
+        }
     }
-    EXPECT_EQ(savedSection(copy), savedSection(orig));
+    EXPECT_EQ(savedSection(fresh), savedSection(orig));
+    EXPECT_EQ(savedSection(reused), savedSection(orig));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -473,6 +510,39 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<bool> &info) {
         return info.param ? "Asymmetric" : "Uniform";
     });
+
+/** An 8 MiB array whose sets were never filled: every lookup and
+ *  update reports the line absent, and nothing is resident. One fill
+ *  makes exactly one set live. */
+TEST(Cache, NeverFilledSetsHoldNothing)
+{
+    Cache c({"big", 8 * 1024 * 1024, 16, 64, false});
+    const uint32_t sets = c.numSets();
+    ASSERT_EQ(sets, 8192u);
+    const auto expectAbsent = [&](Addr a) {
+        EXPECT_FALSE(c.probe(a).hit) << a;
+        EXPECT_FALSE(c.access(a).hit) << a;
+        EXPECT_FALSE(c.contains(a)) << a;
+        EXPECT_EQ(c.stateOf(a), CoherenceState::Invalid) << a;
+        EXPECT_FALSE(c.invalidate(a)) << a;
+        EXPECT_FALSE(c.downgradeToShared(a)) << a;
+    };
+    for (uint32_t set : {0u, 1u, 4097u, sets - 1})
+        expectAbsent(addrFor(set, 12345, sets));
+    EXPECT_EQ(c.residentLines(), 0u);
+    EXPECT_TRUE(c.residentAddrs().empty());
+    EXPECT_EQ(c.stats().value("misses"), 4u);
+    EXPECT_EQ(c.stats().value("invalidations"), 0u);
+    EXPECT_EQ(c.stats().value("downgrades"), 0u);
+
+    const Addr filled = addrFor(7, 3, sets);
+    c.fill(filled, CoherenceState::Modified);
+    expectAbsent(addrFor(7, 4, sets)); // live set, other tag
+    expectAbsent(addrFor(8, 3, sets)); // neighbouring set
+    EXPECT_EQ(c.residentLines(), 1u);
+    EXPECT_EQ(c.residentAddrs(), std::vector<Addr>{filled});
+    EXPECT_EQ(c.stateOf(filled), CoherenceState::Modified);
+}
 
 /** The section's size follows the resident lines, not the geometry:
  *  empty 32 KiB and 8 MiB arrays write the same number of bytes. */

@@ -11,6 +11,7 @@
 
 #include "common/rng.hh"
 
+using hetsim::GeometricP;
 using hetsim::Rng;
 
 TEST(Rng, SameSeedSameSequence)
@@ -102,13 +103,22 @@ TEST(Rng, ChanceFrequency)
 
 TEST(Rng, GeometricMean)
 {
+    // Each draw equals the textbook inversion with log1p(-p)
+    // evaluated per draw, so precomputing it moves no trace.
     Rng r(23);
+    Rng ref(23);
     const double p = 0.25;
+    const GeometricP dist(p);
     double sum = 0.0;
     const int n = 100000;
     for (int i = 0; i < n; ++i) {
-        const uint64_t g = r.geometric(p);
+        const uint64_t g = r.geometric(dist);
         ASSERT_GE(g, 1u);
+        double u = ref.uniform();
+        if (u <= 0.0)
+            u = 0x1.0p-53;
+        ASSERT_EQ(g, 1 + static_cast<uint64_t>(std::log(u) /
+                                               std::log1p(-p)));
         sum += static_cast<double>(g);
     }
     EXPECT_NEAR(sum / n, 1.0 / p, 0.1);
@@ -116,9 +126,12 @@ TEST(Rng, GeometricMean)
 
 TEST(Rng, GeometricWithCertainSuccess)
 {
+    // Certain success draws nothing: the stream is untouched.
     Rng r(29);
+    Rng untouched(29);
     for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(r.geometric(1.0), 1u);
+        EXPECT_EQ(r.geometric(GeometricP(1.0)), 1u);
+    EXPECT_EQ(r.next(), untouched.next());
 }
 
 TEST(Rng, ZipfSkew)

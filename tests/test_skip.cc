@@ -6,9 +6,10 @@
  * the full --report-json document (every counter, occupancy integral,
  * stall breakdown, energy number) must be byte-identical whether the
  * runner jumps over stall ranges or ticks through them one cycle at a
- * time. These tests enforce that contract end to end for CPU runs,
- * GPU runs, and a DSE sweep, and check that skipping actually
- * happens (a loop that never skips would pass identity trivially).
+ * time. These tests enforce that contract end to end for every CPU
+ * and GPU configuration and workload, and for a DSE sweep, and check
+ * that skipping actually happens (a loop that never skips would pass
+ * identity trivially).
  */
 
 #include <gtest/gtest.h>
@@ -46,11 +47,12 @@ smallOpts(bool no_skip)
 }
 
 std::string
-cpuReportJson(CpuConfig cfg, const char *app, bool no_skip)
+cpuReportJson(CpuConfig cfg, const std::string &app, bool no_skip)
 {
+    ExperimentOptions opts = smallOpts(no_skip);
+    opts.scale = 0.01;
     obs::RunReport rep;
-    runCpuExperiment(cfg, workload::cpuApp(app), smallOpts(no_skip),
-                     &rep);
+    runCpuExperiment(cfg, workload::cpuApp(app), opts, &rep);
     return rep.toJson();
 }
 
@@ -77,6 +79,37 @@ slurp(const std::string &path)
         std::fclose(f);
     }
     return out;
+}
+
+std::vector<CpuConfig>
+allCpuConfigs()
+{
+    std::vector<CpuConfig> cfgs;
+    for (int i = 0; i < kNumCpuConfigs; ++i)
+        cfgs.push_back(static_cast<CpuConfig>(i));
+    return cfgs;
+}
+
+/** The paper's 14 applications, then the contention
+ *  microbenchmarks. */
+std::vector<std::string>
+cpuAppNames()
+{
+    std::vector<std::string> names;
+    for (const workload::AppProfile &a : workload::cpuApps())
+        names.push_back(a.name);
+    for (const workload::AppProfile &a : workload::contentionApps())
+        names.push_back(a.name);
+    return names;
+}
+
+/** A display name as a test-name fragment ("AdvHet-2X" and
+ *  "water-sp" are not valid test names). */
+std::string
+testName(std::string name)
+{
+    name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+    return name;
 }
 
 std::vector<std::string>
@@ -106,26 +139,32 @@ runMulticore(CpuConfig cfg, const char *app, bool skip)
 
 } // namespace
 
-TEST(Skip, CpuReportsBitIdentical)
+using CpuIdentityCase = std::tuple<CpuConfig, std::string>;
+
+class CpuSkipIdentity : public ::testing::TestWithParam<CpuIdentityCase>
 {
-    // Covers a memory-bound app (canneal), a compute app (fft), and
-    // a heterogeneous-divisor config (AdvHet2X mixes tick grids).
-    const struct
-    {
-        CpuConfig cfg;
-        const char *app;
-    } cases[] = {
-        {CpuConfig::AdvHet, "canneal"},
-        {CpuConfig::BaseTfet, "fft"},
-        {CpuConfig::BaseHet, "radix"},
-        {CpuConfig::AdvHet2X, "water-sp"},
-    };
-    for (const auto &c : cases) {
-        SCOPED_TRACE(c.app);
-        EXPECT_EQ(cpuReportJson(c.cfg, c.app, false),
-                  cpuReportJson(c.cfg, c.app, true));
-    }
+};
+
+/** Every CPU configuration on every application and contention
+ *  microbenchmark: memory-bound and compute apps, lock, barrier and
+ *  false-sharing traffic, and configs whose cores tick on different
+ *  grids (AdvHet-2X). Each report carries every cache's statistics,
+ *  so each cache geometry is compared too. */
+TEST_P(CpuSkipIdentity, ReportsBitIdentical)
+{
+    const auto &[cfg, app] = GetParam();
+    EXPECT_EQ(cpuReportJson(cfg, app, false),
+              cpuReportJson(cfg, app, true));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigsAndApps, CpuSkipIdentity,
+    ::testing::Combine(::testing::ValuesIn(allCpuConfigs()),
+                       ::testing::ValuesIn(cpuAppNames())),
+    [](const ::testing::TestParamInfo<CpuIdentityCase> &info) {
+        return testName(cpuConfigName(std::get<0>(info.param))) + "_" +
+               testName(std::get<1>(info.param));
+    });
 
 TEST(Skip, CpuRunActuallySkips)
 {
@@ -163,11 +202,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(figure10Configs()),
                        ::testing::ValuesIn(gpuKernelNames())),
     [](const ::testing::TestParamInfo<GpuIdentityCase> &info) {
-        // "AdvHet-2X" is not a valid test name.
-        std::string name = gpuConfigName(std::get<0>(info.param));
-        name.erase(std::remove(name.begin(), name.end(), '-'),
-                   name.end());
-        return name + "_" + std::get<1>(info.param);
+        return testName(gpuConfigName(std::get<0>(info.param))) + "_" +
+               std::get<1>(info.param);
     });
 
 TEST(Skip, GpuRunActuallySkips)

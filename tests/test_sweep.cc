@@ -11,13 +11,13 @@
 
 #include <dirent.h>
 #include <signal.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/result_store.hh"
@@ -601,7 +601,10 @@ TEST(SweepJobs, ParallelReportIsByteIdenticalToSerial)
  * forwarded as SIGTERM to *every* in-flight forked cell, and each
  * drains to its own mid-run checkpoint and reports preempted instead
  * of dying. The forked cells inherit the SIGTERM handler installed
- * here, exactly as they inherit the CLI's handler in production.
+ * here, exactly as they inherit the CLI's handler in production. The
+ * request comes from a one-shot SIGALRM, not a thread: forking while
+ * another thread runs can hand a child a lock (a sanitizer's, say)
+ * that no thread of the child will ever release.
  */
 TEST(SweepJobs, PreemptionForwardsSigtermToAllInflightCells)
 {
@@ -626,13 +629,15 @@ TEST(SweepJobs, PreemptionForwardsSigtermToAllInflightCells)
     opts.exp.preempt = &g_sweep_preempt;
     using SigHandler = void (*)(int);
     const SigHandler prev = ::signal(SIGTERM, sweepPreemptHandler);
+    const SigHandler prev_alarm = ::signal(SIGALRM, sweepPreemptHandler);
+    itimerval timer{};
+    timer.it_value.tv_usec = 300 * 1000;
+    ASSERT_EQ(::setitimer(ITIMER_REAL, &timer, nullptr), 0);
 
-    std::thread preempter([] {
-        ::usleep(300 * 1000);
-        g_sweep_preempt = 1;
-    });
     const SweepReport report = runSweep(plan, opts);
-    preempter.join();
+    const itimerval disarm{};
+    ::setitimer(ITIMER_REAL, &disarm, nullptr);
+    ::signal(SIGALRM, prev_alarm);
     ::signal(SIGTERM, prev);
 
     ASSERT_EQ(report.results.size(), plan.size());
