@@ -9,7 +9,11 @@
 #     exits 1 with corrupt-record instead of crashing, and the same
 #     file as a sweep cell fails that cell only;
 #   - the sweep and dse argument lists of benchmark/run.py parse, and
-#     a resumed checkpointed sweep matches its cold run.
+#     a resumed checkpointed sweep matches its cold run;
+#   - a checkpointed run SIGKILLed mid-run and rerun, and a sweep
+#     SIGTERMed mid-cell (exit 3) and resumed, each match their
+#     uninterrupted twin byte for byte;
+#   - store fsck flags an orphaned temp until store gc prunes it.
 #
 # Usage: scripts/check_cli.sh <path to hetsim_cli>
 set -u
@@ -132,6 +136,77 @@ cmp -s "$work/sweep_cold.json" "$work/sweep_warm.json" ||
 "$cli" dse --space cpu --app fft --scale 0.002 --jobs 2 --seed 1 \
     --report-json "$work/dse.json" > /dev/null ||
     fail "benchmark dse exited $?"
+
+# wait_for <file glob>: poll until the glob matches a file (at most
+# 10 s).
+wait_for()
+{
+    tries=0
+    while ! ls $1 > /dev/null 2>&1 && [ $tries -lt 1000 ]; do
+        sleep 0.01
+        tries=$((tries + 1))
+    done
+}
+
+# A checkpointed run SIGKILLed once its checkpoint exists restores from
+# it: the rerun says "resumed", matches the uninterrupted run's
+# --report-json at the same cadence and removes the checkpoint when done.
+ckrun="run --config AdvHet --app cholesky --scale 0.5 --checkpoint-every 2000"
+# shellcheck disable=SC2086
+$cli $ckrun --checkpoint "$work/ref.hckp" \
+    --report-json "$work/ckrun_ref.json" > /dev/null ||
+    fail "uninterrupted checkpointed run exited $?"
+# shellcheck disable=SC2086
+$cli $ckrun --checkpoint "$work/run.hckp" > /dev/null 2>&1 &
+pid=$!
+wait_for "$work/run.hckp"
+kill -KILL $pid 2> /dev/null
+wait $pid 2> /dev/null
+# shellcheck disable=SC2086
+$cli $ckrun --checkpoint "$work/run.hckp" \
+    --report-json "$work/ckrun_resumed.json" > /dev/null 2> "$work/err" ||
+    fail "rerun of the killed run exited $?"
+grep -q 'resumed' "$work/err" ||
+    fail "the killed run did not resume from its checkpoint"
+cmp -s "$work/ckrun_ref.json" "$work/ckrun_resumed.json" ||
+    fail "resumed run differs from the uninterrupted run"
+[ ! -e "$work/run.hckp" ] || fail "finished run left its checkpoint"
+
+# A journaling sweep SIGTERMed once a cell has checkpointed exits 3;
+# --resume 1 continues that cell mid-run and matches the uninterrupted
+# sweep at the same cadence.
+cksweep="sweep --configs AdvHet --workloads fft,lu,radix,cholesky \
+--scale 0.5 --jobs 1 --checkpoint-every 2000"
+# shellcheck disable=SC2086
+$cli $cksweep --store "$work/ckref" \
+    --report-json "$work/cksweep_ref.json" > /dev/null 2>&1 ||
+    fail "uninterrupted checkpointed sweep exited $?"
+# shellcheck disable=SC2086
+$cli $cksweep --store "$work/ck" > /dev/null 2>&1 &
+pid=$!
+wait_for "$work/ck/*.hckp"
+kill -TERM $pid 2> /dev/null
+wait $pid
+rc=$?
+[ "$rc" -eq 3 ] || fail "preempted sweep exited $rc, not 3"
+# shellcheck disable=SC2086
+$cli $cksweep --store "$work/ck" --resume 1 \
+    --report-json "$work/cksweep_resumed.json" > /dev/null \
+    2> "$work/err" || fail "resumed sweep exited $?"
+grep -q 'resumed' "$work/err" ||
+    fail "the preempted cell did not resume from its checkpoint"
+cmp -s "$work/cksweep_ref.json" "$work/cksweep_resumed.json" ||
+    fail "resumed sweep differs from the uninterrupted sweep"
+
+# Store triage: fsck flags an orphaned O_EXCL temp (nonzero exit), gc
+# prunes it, and a re-fsck comes back clean.
+touch "$work/ck/cell-dead.hckp.tmp.99.1"
+"$cli" store fsck --dir "$work/ck" > /dev/null 2>&1 &&
+    fail "store fsck passed a store with an orphaned temp"
+"$cli" store gc --dir "$work/ck" > /dev/null ||
+    fail "store gc exited $?"
+"$cli" store fsck --dir "$work/ck" > /dev/null ||
+    fail "store fsck after gc exited $?"
 
 if [ "$fails" -gt 0 ]; then
     echo "$fails CLI contract(s) failed" >&2

@@ -18,7 +18,8 @@ ctest --test-dir build --output-on-failure
 # their slots with computed offsets; the GPU, wavefront and RF-cache
 # tests because the GPU run loop indexes per-CU wake cycles and each
 # CU keeps an occupied-slot count; hetsim_cli and cli_contracts because
-# that test feeds the option parser and the trace decoder bad input.
+# that test feeds the option parser and the trace decoder bad input and
+# kills, preempts and resumes checkpointed runs and sweeps.
 cmake -B build-asan -G Ninja -DHETSIM_SANITIZE="address;undefined"
 cmake --build build-asan --target test_status test_trace_file \
       test_fault_inject test_sweep test_result_store test_checkpoint \
@@ -144,64 +145,6 @@ build/examples/hetsim_cli sweep --configs all \
       --store build/store_kill --resume 1 \
       --report-json build/sweep_resumed.json > /dev/null
 cmp build/sweep_ref.json build/sweep_resumed.json
-
-# Checkpoint/restore smoke, single run: SIGKILL a checkpointed run
-# mid-flight, rerun the same command; it restores from the last
-# durable checkpoint and the finished report must be byte-identical
-# to an uninterrupted run at the same cadence. Works for any kill
-# point: a torn final write is quarantined and .prev restores.
-rm -f build/ckpt_run.hckp build/ckpt_run.hckp.prev
-build/examples/hetsim_cli run --config AdvHet --app cholesky \
-      --scale 4 --checkpoint build/ckpt_run.hckp \
-      --checkpoint-every 20000 \
-      --report-json build/ckpt_ref.json > /dev/null
-build/examples/hetsim_cli run --config AdvHet --app cholesky \
-      --scale 4 --checkpoint build/ckpt_run.hckp \
-      --checkpoint-every 20000 > /dev/null 2>&1 &
-ckpt_pid=$!
-sleep 0.5
-kill -9 $ckpt_pid 2>/dev/null || true
-wait $ckpt_pid 2>/dev/null || true
-build/examples/hetsim_cli run --config AdvHet --app cholesky \
-      --scale 4 --checkpoint build/ckpt_run.hckp \
-      --checkpoint-every 20000 \
-      --report-json build/ckpt_resumed.json > /dev/null
-cmp build/ckpt_ref.json build/ckpt_resumed.json
-test ! -e build/ckpt_run.hckp # removed on completion
-
-# Checkpoint/restore smoke, sweep: SIGTERM a journaling sweep
-# mid-cell. The in-flight cell is preempted at its next periodic
-# drain (exit code 3) and its mid-run checkpoint lands in the store;
-# --resume then continues that cell from mid-run and the final report
-# must match an uninterrupted sweep at the same cadence byte for
-# byte.
-rm -rf build/store_ckpt build/store_ckpt_ref
-build/examples/hetsim_cli sweep --configs all \
-      --workloads fft,lu,radix,cholesky --scale 0.5 \
-      --store build/store_ckpt_ref --checkpoint-every 20000 \
-      --report-json build/ckpt_sweep_ref.json > /dev/null
-build/examples/hetsim_cli sweep --configs all \
-      --workloads fft,lu,radix,cholesky --scale 0.5 \
-      --store build/store_ckpt --checkpoint-every 20000 \
-      > /dev/null 2>&1 &
-sweep_pid=$!
-sleep 0.5
-kill -TERM $sweep_pid 2>/dev/null || true
-wait $sweep_pid && exit 1 || true # preempted: must exit nonzero
-build/examples/hetsim_cli sweep --configs all \
-      --workloads fft,lu,radix,cholesky --scale 0.5 \
-      --store build/store_ckpt --checkpoint-every 20000 --resume 1 \
-      --report-json build/ckpt_sweep_resumed.json > /dev/null
-cmp build/ckpt_sweep_ref.json build/ckpt_sweep_resumed.json
-
-# Store triage smoke: fsck flags an orphaned O_EXCL temp (nonzero
-# exit), gc prunes it, and a re-fsck comes back clean while leaving
-# the journaled entries untouched.
-touch build/store_ckpt/cell-dead.hckp.tmp.99.1
-build/examples/hetsim_cli store fsck --dir build/store_ckpt \
-      && exit 1 || true
-build/examples/hetsim_cli store gc --dir build/store_ckpt
-build/examples/hetsim_cli store fsck --dir build/store_ckpt
 
 # Substrate microbenchmarks (simulator speed, not simulated machine),
 # exported as machine-readable JSON for regression tracking.

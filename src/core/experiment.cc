@@ -361,17 +361,4 @@ runCpuSuite(const std::vector<CpuConfig> &cfgs,
     return out;
 }
 
-std::vector<GpuOutcome>
-runGpuSuite(const std::vector<GpuConfig> &cfgs,
-            const std::vector<workload::KernelProfile> &kernels,
-            const ExperimentOptions &opts)
-{
-    std::vector<GpuOutcome> out;
-    out.reserve(cfgs.size() * kernels.size());
-    for (GpuConfig cfg : cfgs)
-        for (const workload::KernelProfile &k : kernels)
-            out.push_back(runGpuExperiment(cfg, k, opts));
-    return out;
-}
-
 } // namespace hetsim::core

@@ -137,11 +137,6 @@ runCpuSuite(const std::vector<CpuConfig> &cfgs,
             const std::vector<workload::AppProfile> &apps,
             const ExperimentOptions &opts = {});
 
-std::vector<GpuOutcome>
-runGpuSuite(const std::vector<GpuConfig> &cfgs,
-            const std::vector<workload::KernelProfile> &kernels,
-            const ExperimentOptions &opts = {});
-
 } // namespace hetsim::core
 
 #endif // HETSIM_CORE_EXPERIMENT_HH

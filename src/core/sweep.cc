@@ -50,7 +50,8 @@ struct WireResult
 };
 #pragma pack(pop)
 
-/** Journal payload: WireResult + the status message bytes. */
+/** Cell payload, on the result pipe and in the journal alike:
+ *  WireResult + the status message bytes. */
 std::string
 encodeCellPayload(const CellResult &res)
 {
@@ -69,8 +70,9 @@ encodeCellPayload(const CellResult &res)
     return payload;
 }
 
-/** Inverse of encodeCellPayload; false on a malformed payload (the
- *  caller then re-executes — a journal can only ever cost a rerun). */
+/** Inverse of encodeCellPayload; false on a malformed or short
+ *  payload. A journal entry is then re-executed (a journal can only
+ *  ever cost a rerun); a pipe payload means the child crashed. */
 bool
 decodeCellPayload(const std::string &payload, CellResult *res)
 {
@@ -92,9 +94,9 @@ decodeCellPayload(const std::string &payload, CellResult *res)
     res->ops = wire.ops;
     res->seconds = wire.seconds;
     res->energyJ = wire.energyJ;
-    // Defensive: preempted results are never journaled, but an
-    // entry claiming preemption must keep its never-journal / never-
-    // retry semantics if one ever appears.
+    // A preempted child saved a checkpoint and stopped: keep the
+    // never-journal / never-retry semantics across the pipe (and for
+    // a journal entry claiming preemption, should one ever appear).
     if (code == ErrorCode::Preempted) {
         res->transient = true;
         res->preempted = true;
@@ -257,48 +259,18 @@ runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
     return res;
 }
 
-/** Child side: run the cell and ship the result up the pipe. */
+/** Child side: run the cell and ship its encoded result up the pipe.
+ *  A failed write leaves the parent a short payload, which it
+ *  reports as a crashed cell. */
 [[noreturn]] void
 childRunCell(int fd, const SweepCell &cell, const SweepOptions &opts)
 {
-    const CellResult res = runCellInProcess(cell, opts);
-    WireResult wire;
-    wire.outcome = static_cast<uint8_t>(res.outcome);
-    wire.code = static_cast<uint8_t>(res.status.code());
-    wire.cycles = res.cycles;
-    wire.ops = res.ops;
-    wire.seconds = res.seconds;
-    wire.energyJ = res.energyJ;
-    const std::string &msg = res.status.message();
-    wire.msgLen = static_cast<uint32_t>(msg.size());
-    // A failed write leaves the parent a short payload, which it
-    // reports as a failed cell.
-    if (writeAllFd(fd, &wire, sizeof(wire), "sweep result pipe").ok())
-        (void)writeAllFd(fd, msg.data(), msg.size(), "sweep result pipe");
+    const std::string payload =
+        encodeCellPayload(runCellInProcess(cell, opts));
+    (void)writeAllFd(fd, payload.data(), payload.size(),
+                     "sweep result pipe");
     // _exit keeps the child from re-running parent atexit hooks.
     ::_exit(0);
-}
-
-CellResult
-decodeWire(const WireResult &wire, const std::string &msg)
-{
-    CellResult res;
-    res.outcome = static_cast<CellOutcome>(wire.outcome);
-    const auto code = static_cast<ErrorCode>(wire.code);
-    res.status = code == ErrorCode::Ok
-        ? Status()
-        : Status::error(code, "%s", msg.c_str());
-    res.cycles = wire.cycles;
-    res.ops = wire.ops;
-    res.seconds = wire.seconds;
-    res.energyJ = wire.energyJ;
-    // A preempted child saved a checkpoint and stopped: keep the
-    // never-journal / never-retry semantics across the pipe.
-    if (code == ErrorCode::Preempted) {
-        res.transient = true;
-        res.preempted = true;
-    }
-    return res;
 }
 
 std::string
@@ -313,121 +285,27 @@ describeChildDeath(int wstatus)
     return "died abnormally";
 }
 
-/** Parent side: fork, read the pipe under the wall-clock watchdog. */
+/** Run one cell in this process under the soft wall-clock deadline:
+ *  without a child process the cell cannot be stopped, so an overrun
+ *  is reported loudly once it completes instead of silently dropping
+ *  the guarantee. */
 CellResult
-runCellIsolated(const SweepCell &cell, const SweepOptions &opts)
+runCellInline(const SweepCell &cell, const SweepOptions &opts)
 {
-    int fds[2];
-    if (::pipe(fds) != 0) {
-        CellResult res;
-        res.status = Status::error(ErrorCode::Internal,
-                                   "pipe() failed: %s",
-                                   std::strerror(errno));
-        return res;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        warn("fork() failed (%s); running cell in-process",
-             std::strerror(errno));
-        return runCellInProcess(cell, opts);
-    }
-    if (pid == 0) {
-        ::close(fds[0]);
-        childRunCell(fds[1], cell, opts);
-    }
-    ::close(fds[1]);
-
-    const double deadline = opts.wallLimitMs > 0.0
-        ? monotonicMs() + opts.wallLimitMs : 0.0;
-    std::string buf;
-    bool timed_out = false;
-    bool eof = false;
-    bool preempt_sent = false;
-    while (true) {
-        // A preemption request (SIGTERM to the sweep) must reach the
-        // in-flight cell, which lives in its own process: forward it.
-        // The child inherited the caller's signal disposition, so its
-        // own handler sets its preempt flag and the cell stops at the
-        // next periodic drain with a resumable checkpoint. Only done
-        // when mid-run checkpoints are on — without them, preempting
-        // the cell would just discard its progress.
-        if (!preempt_sent && !opts.checkpointDir.empty() &&
-            opts.exp.preempt && *opts.exp.preempt) {
-            ::kill(pid, SIGTERM);
-            preempt_sent = true;
-        }
-        if (buf.size() >= sizeof(WireResult)) {
-            WireResult wire;
-            std::memcpy(&wire, buf.data(), sizeof(wire));
-            if (buf.size() >= sizeof(wire) + wire.msgLen)
-                break; // Full payload in hand.
-        }
-        if (eof)
-            break;
-        int wait_ms = -1;
-        if (deadline > 0.0) {
-            const double remaining = deadline - monotonicMs();
-            if (remaining <= 0.0) {
-                timed_out = true;
-                break;
-            }
-            wait_ms = static_cast<int>(remaining) + 1;
-        }
-        struct pollfd pfd{fds[0], POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, wait_ms);
-        if (ready < 0 && errno == EINTR)
-            continue;
-        if (ready == 0) {
-            timed_out = true;
-            break;
-        }
-        char chunk[4096];
-        const ssize_t r = ::read(fds[0], chunk, sizeof(chunk));
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            eof = true;
-        } else if (r == 0) {
-            eof = true;
-        } else {
-            buf.append(chunk, static_cast<size_t>(r));
-        }
-    }
-    ::close(fds[0]);
-
-    CellResult res;
-    if (timed_out) {
-        ::kill(pid, SIGKILL);
-        int wstatus = 0;
-        ::waitpid(pid, &wstatus, 0);
+    const double start = monotonicMs();
+    CellResult res = runCellInProcess(cell, opts);
+    const double elapsed = monotonicMs() - start;
+    if (opts.wallLimitMs > 0.0 && elapsed > opts.wallLimitMs &&
+        res.outcome == CellOutcome::Ok) {
         res.outcome = CellOutcome::TimedOut;
         res.status = Status::error(
             ErrorCode::Timeout,
-            "wall-clock watchdog fired after %.0f ms",
-            opts.wallLimitMs);
-        res.transient = true; // Host-load dependent: retryable.
-        return res;
+            "soft wall-clock deadline (%.0f ms) exceeded: "
+            "inline cell ran %.0f ms to completion "
+            "(no preemption without isolation)",
+            opts.wallLimitMs, elapsed);
+        res.transient = true;
     }
-
-    int wstatus = 0;
-    ::waitpid(pid, &wstatus, 0);
-
-    WireResult wire;
-    if (buf.size() >= sizeof(wire)) {
-        std::memcpy(&wire, buf.data(), sizeof(wire));
-        if (buf.size() >= sizeof(wire) + wire.msgLen) {
-            const std::string msg =
-                buf.substr(sizeof(wire), wire.msgLen);
-            return decodeWire(wire, msg);
-        }
-    }
-    // The child died before delivering a result: crash, contained.
-    res.outcome = CellOutcome::Failed;
-    res.status = Status::error(ErrorCode::Crashed, "cell process %s",
-                               describeChildDeath(wstatus).c_str());
-    res.transient = true; // Crashes may be environmental: retryable.
     return res;
 }
 
@@ -458,101 +336,24 @@ backoffMs(double first_ms, uint32_t attempt, uint64_t seed)
     return ms > 0.0 ? ms : 0.0;
 }
 
-void
-sleepBackoff(double first_ms, uint32_t attempt, uint64_t seed)
-{
-    const double ms = backoffMs(first_ms, attempt, seed);
-    if (ms <= 0.0)
-        return;
-    struct timespec ts;
-    ts.tv_sec = static_cast<time_t>(ms / 1e3);
-    ts.tv_nsec = static_cast<long>(
-        (ms - ts.tv_sec * 1e3) * 1e6);
-    ::nanosleep(&ts, nullptr);
-}
-
 /**
- * One cell, end to end: journal replay (resume), execution with the
- * chosen isolation, the inline soft wall-clock deadline, bounded
- * retry of transient failures, and the durable journal write.
- */
-CellResult
-executeCell(const SweepCell &cell, const SweepOptions &opts)
-{
-    const std::string key = cellStoreKey(cell, opts);
-
-    if (opts.store != nullptr && opts.resume) {
-        const Result<std::string> hit = opts.store->get(key);
-        CellResult replay;
-        if (hit.ok() && decodeCellPayload(hit.value(), &replay)) {
-            replay.fromStore = true;
-            return replay;
-        }
-    }
-
-    CellResult res;
-    for (uint32_t attempt = 0;; ++attempt) {
-        if (opts.isolate) {
-            res = runCellIsolated(cell, opts);
-        } else {
-            const double start = monotonicMs();
-            res = runCellInProcess(cell, opts);
-            const double elapsed = monotonicMs() - start;
-            // Soft wall-clock deadline: the cell cannot be preempted
-            // without a child process, but an overrun is reported
-            // loudly instead of silently dropping the guarantee.
-            if (opts.wallLimitMs > 0.0 &&
-                elapsed > opts.wallLimitMs &&
-                res.outcome == CellOutcome::Ok) {
-                res.outcome = CellOutcome::TimedOut;
-                res.status = Status::error(
-                    ErrorCode::Timeout,
-                    "soft wall-clock deadline (%.0f ms) exceeded: "
-                    "inline cell ran %.0f ms to completion "
-                    "(no preemption without isolation)",
-                    opts.wallLimitMs, elapsed);
-                res.transient = true;
-            }
-        }
-        res.retries = attempt;
-        // Preemption is deliberate, not a fault: never retried. A
-        // pending preemption also stops retries of ordinary transient
-        // failures — the sweep is shutting down, not healing.
-        if (res.preempted || !res.transient ||
-            attempt >= opts.maxRetries ||
-            (opts.exp.preempt && *opts.exp.preempt))
-            break;
-        sleepBackoff(opts.retryBackoffMs, attempt + 1,
-                     fnv1a(key));
-    }
-
-    // Journal only deterministic terminal outcomes: a replayed crash
-    // or wall-clock kill would freeze a nondeterministic failure into
-    // every future resume.
-    if (opts.store != nullptr && !res.transient) {
-        const Status put =
-            opts.store->put(key, encodeCellPayload(res));
-        if (!put.ok())
-            warn("sweep journal write failed: %s",
-                 put.toString().c_str());
-    }
-    return res;
-}
-
-/**
- * Parallel scheduler: up to `jobs` forked cells in flight at once,
- * multiplexed over their result pipes from the calling thread —
- * children are only ever forked from this loop, never from worker
- * threads. Every cell runs exactly the computation the serial path
- * runs and results land in plan order, so a jobs=N report is
- * byte-identical to the jobs=1 report. A pending preemption stops
- * new launches, forwards SIGTERM to *every* in-flight child (each
- * drains to its own resumable checkpoint), and marks unlaunched
- * cells preempted-without-running, matching the serial semantics.
+ * The sweep executor. Up to `opts.jobs` forked cells are in flight at
+ * once (one when jobs is 0 or 1), multiplexed over their result pipes
+ * from the calling thread — children are only ever forked from this
+ * loop, never from worker threads. Inline cells (isolate == false)
+ * run in this process as they launch and settle at once. Per cell:
+ * journal replay on resume, bounded retry of transient failures
+ * after a backoff, and the durable journal write of deterministic
+ * outcomes. Results land in plan order, so the report is
+ * byte-identical for any job count and either isolation. A pending
+ * preemption stops new launches, forwards SIGTERM to *every*
+ * in-flight child (each drains to its own resumable checkpoint),
+ * marks unlaunched cells preempted-without-running, and retires a
+ * cell waiting out a backoff with its last transient failure.
  */
 SweepReport
-runSweepParallel(const std::vector<SweepCell> &cells,
-                 const SweepOptions &opts, unsigned jobs)
+runScheduler(const std::vector<SweepCell> &cells,
+             const SweepOptions &opts)
 {
     struct Task
     {
@@ -577,6 +378,7 @@ runSweepParallel(const std::vector<SweepCell> &cells,
     };
     using Phase = Task::Phase;
 
+    const unsigned jobs = std::max(opts.jobs, 1u);
     std::vector<Task> tasks(cells.size());
     std::vector<std::string> keys;
     keys.reserve(cells.size());
@@ -591,22 +393,25 @@ runSweepParallel(const std::vector<SweepCell> &cells,
     };
 
     // One execution attempt of cell i finished with result r: either
-    // retire the task or park it for a retry. Mirrors the serial
-    // executeCell retry/journal policy exactly.
+    // park the task for a retry or journal and retire it.
     const auto settle = [&](size_t i, CellResult r) {
         Task &t = tasks[i];
-        const double now = monotonicMs();
         r.retries = t.attempt - 1;
+        // Preemption is deliberate, not a fault: never retried. A
+        // pending preemption also stops retries of ordinary transient
+        // failures — the sweep is shutting down, not healing.
         if (!r.preempted && r.transient &&
             t.attempt - 1 < opts.maxRetries && !preemptPending()) {
             t.res = std::move(r);
             t.phase = Phase::Backoff;
-            t.readyAt = now + backoffMs(
+            t.readyAt = monotonicMs() + backoffMs(
                 opts.retryBackoffMs, t.attempt,
                 fnv1a(keys[i]));
             return;
         }
-        r.wallMs = now - t.startMs;
+        // Journal only deterministic terminal outcomes: a replayed
+        // crash or wall-clock kill would freeze a nondeterministic
+        // failure into every future resume.
         if (opts.store != nullptr && !r.transient && !r.fromStore) {
             const Status put =
                 opts.store->put(keys[i], encodeCellPayload(r));
@@ -614,6 +419,7 @@ runSweepParallel(const std::vector<SweepCell> &cells,
                 warn("sweep journal write failed: %s",
                      put.toString().c_str());
         }
+        r.wallMs = monotonicMs() - t.startMs;
         if (opts.verbose)
             inform("sweep [%zu/%zu] %s / %s: %s%s%s%s", i + 1,
                    cells.size(), cellConfigName(cells[i]).c_str(),
@@ -628,83 +434,58 @@ runSweepParallel(const std::vector<SweepCell> &cells,
         ++done;
     };
 
-    // The child delivered (full payload / EOF) or overran its
+    // The child delivered its payload, closed its pipe or overran its
     // wall-clock deadline: reap it and settle the attempt.
     const auto finishRunning = [&](size_t i, bool timed_out) {
         Task &t = tasks[i];
         ::close(t.fd);
-        t.fd = -1;
         --running;
-        t.phase = Phase::Pending; // settle() decides Done/Backoff.
         if (timed_out)
             ::kill(t.pid, SIGKILL);
         int wstatus = 0;
         ::waitpid(t.pid, &wstatus, 0);
-        t.pid = -1;
+        CellResult r;
         if (timed_out) {
-            t.buf.clear();
-            CellResult r;
             r.outcome = CellOutcome::TimedOut;
             r.status = Status::error(
                 ErrorCode::Timeout,
                 "wall-clock watchdog fired after %.0f ms",
                 opts.wallLimitMs);
             r.transient = true; // Host-load dependent: retryable.
-            settle(i, std::move(r));
-            return;
+        } else if (!decodeCellPayload(t.buf, &r)) {
+            // Died before delivering a result: crash, contained.
+            r.outcome = CellOutcome::Failed;
+            r.status = Status::error(
+                ErrorCode::Crashed, "cell process %s",
+                describeChildDeath(wstatus).c_str());
+            r.transient = true; // May be environmental: retryable.
         }
-        WireResult wire;
-        if (t.buf.size() >= sizeof(wire)) {
-            std::memcpy(&wire, t.buf.data(), sizeof(wire));
-            if (t.buf.size() >= sizeof(wire) + wire.msgLen) {
-                const std::string msg =
-                    t.buf.substr(sizeof(wire), wire.msgLen);
-                t.buf.clear();
-                settle(i, decodeWire(wire, msg));
-                return;
-            }
-        }
-        // Died before delivering a result: crash, contained.
         t.buf.clear();
-        CellResult r;
-        r.outcome = CellOutcome::Failed;
-        r.status = Status::error(ErrorCode::Crashed,
-                                 "cell process %s",
-                                 describeChildDeath(wstatus).c_str());
-        r.transient = true;
         settle(i, std::move(r));
     };
 
     while (done < tasks.size()) {
-        double now = monotonicMs();
+        const double now = monotonicMs();
 
         // Preemption: stop launching, tell every in-flight child to
-        // drain to its checkpoint, retire everything not yet started.
+        // drain to its checkpoint, retire everything else.
         if (preemptPending()) {
-            for (size_t i = 0; i < tasks.size(); ++i) {
-                Task &t = tasks[i];
-                if (t.phase == Phase::Pending) {
+            for (Task &t : tasks) {
+                if (t.phase == Phase::Running) {
+                    // Only with mid-run checkpoints on does a SIGTERM
+                    // preserve (rather than discard) progress.
+                    if (!t.preemptSent && !opts.checkpointDir.empty()) {
+                        ::kill(t.pid, SIGTERM);
+                        t.preemptSent = true;
+                    }
+                } else if (t.phase != Phase::Done) {
+                    // A cell waiting out a backoff keeps its last
+                    // transient failure.
                     if (t.attempt == 0)
                         markPreempted(&t.res, "sweep preempted "
                                               "before this cell ran");
-                    // else keep the last transient failure, as the
-                    // serial retry loop does when a preemption stops
-                    // it mid-backoff.
-                    t.res.retries =
-                        t.attempt > 0 ? t.attempt - 1 : 0;
                     t.phase = Phase::Done;
                     ++done;
-                } else if (t.phase == Phase::Backoff) {
-                    t.phase = Phase::Done;
-                    ++done;
-                } else if (t.phase == Phase::Running &&
-                           !t.preemptSent &&
-                           !opts.checkpointDir.empty()) {
-                    // Same forwarding rule as the serial path: only
-                    // with mid-run checkpoints on does a SIGTERM
-                    // preserve (rather than discard) progress.
-                    ::kill(t.pid, SIGTERM);
-                    t.preemptSent = true;
                 }
             }
         }
@@ -722,7 +503,7 @@ runSweepParallel(const std::vector<SweepCell> &cells,
             if (t.phase != Phase::Pending)
                 continue;
             if (t.attempt == 0) {
-                t.startMs = now;
+                t.startMs = monotonicMs();
                 if (opts.store != nullptr && opts.resume) {
                     const Result<std::string> hit =
                         opts.store->get(keys[i]);
@@ -736,13 +517,17 @@ runSweepParallel(const std::vector<SweepCell> &cells,
                     }
                 }
             }
+            ++t.attempt;
+            if (!opts.isolate) {
+                settle(i, runCellInline(cells[i], opts));
+                continue;
+            }
             int fds[2];
             pid_t pid = -1;
             if (::pipe(fds) == 0)
                 pid = ::fork();
             else
                 fds[0] = fds[1] = -1;
-            ++t.attempt;
             if (pid < 0) {
                 if (fds[0] >= 0) {
                     ::close(fds[0]);
@@ -760,10 +545,9 @@ runSweepParallel(const std::vector<SweepCell> &cells,
             ::close(fds[1]);
             t.pid = pid;
             t.fd = fds[0];
-            t.buf.clear();
             t.preemptSent = false;
             t.deadline = opts.wallLimitMs > 0.0
-                ? now + opts.wallLimitMs : 0.0;
+                ? monotonicMs() + opts.wallLimitMs : 0.0;
             t.phase = Phase::Running;
             ++running;
         }
@@ -775,7 +559,6 @@ runSweepParallel(const std::vector<SweepCell> &cells,
         // deadline, or a backoff release. A SIGTERM to the sweep
         // interrupts the poll (EINTR), so preemption is noticed
         // immediately.
-        now = monotonicMs();
         double wake = 0.0; // 0 = wait for output only.
         std::vector<struct pollfd> pfds;
         std::vector<size_t> pfd_task;
@@ -794,57 +577,48 @@ runSweepParallel(const std::vector<SweepCell> &cells,
         }
         int wait_ms = -1;
         if (wake > 0.0)
-            wait_ms = std::max(0, static_cast<int>(wake - now)) + 1;
+            wait_ms = std::max(
+                0, static_cast<int>(wake - monotonicMs())) + 1;
         // With a preempt flag registered, bound the wait: a flag set
         // without a signal delivery to this thread (e.g. from another
         // thread, or a signal handled elsewhere in the process) must
         // still be noticed promptly.
         if (opts.exp.preempt && (wait_ms < 0 || wait_ms > 100))
             wait_ms = 100;
+        // With nothing in flight and no backoff to wait out, only a
+        // preemption is left to handle: loop straight back to it.
         int ready = 0;
         if (!pfds.empty())
             ready = ::poll(pfds.data(),
                            static_cast<nfds_t>(pfds.size()),
                            wait_ms);
-        else if (wait_ms > 0)
+        else if (wake > 0.0)
             ready = ::poll(nullptr, 0, wait_ms);
         if (ready < 0 && errno != EINTR)
             warn("sweep: poll() failed: %s", std::strerror(errno));
 
-        now = monotonicMs();
         for (size_t k = 0; k < pfds.size(); ++k) {
-            const size_t i = pfd_task[k];
-            Task &t = tasks[i];
-            if (t.phase != Phase::Running)
+            if (!(pfds[k].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
-            if (pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) {
-                char chunk[4096];
-                const ssize_t r =
-                    ::read(t.fd, chunk, sizeof(chunk));
-                if (r > 0)
-                    t.buf.append(chunk, static_cast<size_t>(r));
-                const bool eof = r == 0 ||
-                    (r < 0 && errno != EINTR && errno != EAGAIN);
-                bool complete = false;
-                if (t.buf.size() >= sizeof(WireResult)) {
-                    WireResult wire;
-                    std::memcpy(&wire, t.buf.data(), sizeof(wire));
-                    complete =
-                        t.buf.size() >= sizeof(wire) + wire.msgLen;
-                }
-                if (complete || eof) {
-                    finishRunning(i, false);
-                    continue;
-                }
-            }
-            if (t.deadline > 0.0 && now >= t.deadline)
-                finishRunning(i, true);
+            Task &t = tasks[pfd_task[k]];
+            char chunk[4096];
+            const ssize_t r = ::read(t.fd, chunk, sizeof(chunk));
+            const bool eof =
+                r == 0 || (r < 0 && errno != EINTR && errno != EAGAIN);
+            if (r > 0)
+                t.buf.append(chunk, static_cast<size_t>(r));
+            // Settle once the whole payload is in, without waiting for
+            // the pipe to close: waitpid() then waits only for the exit.
+            CellResult delivered;
+            if (eof || decodeCellPayload(t.buf, &delivered))
+                finishRunning(pfd_task[k], false);
         }
-        // Deadlines fire even for children producing no output.
+        // Kill every child past its wall-clock deadline.
+        const double after = monotonicMs();
         for (size_t i = 0; i < tasks.size(); ++i) {
-            Task &t = tasks[i];
+            const Task &t = tasks[i];
             if (t.phase == Phase::Running && t.deadline > 0.0 &&
-                now >= t.deadline)
+                after >= t.deadline)
                 finishRunning(i, true);
         }
     }
@@ -1084,45 +858,10 @@ runSweep(const std::vector<SweepCell> &cells,
     if (opts.resume && opts.store == nullptr)
         warn("sweep: resume requested without a result store; "
              "every cell will re-execute");
-    unsigned jobs = opts.jobs > 0 ? opts.jobs : 1;
-    if (jobs > 1 && !opts.isolate) {
+    if (opts.jobs > 1 && !opts.isolate)
         warn("sweep: --jobs > 1 needs process isolation (inline "
              "cells share one address space); running serially");
-        jobs = 1;
-    }
-    if (jobs > 1)
-        return runSweepParallel(cells, opts, jobs);
-
-    SweepReport report;
-    report.cells = cells;
-    report.results.reserve(cells.size());
-    for (size_t i = 0; i < cells.size(); ++i) {
-        const SweepCell &cell = cells[i];
-        // A preemption request stops the sweep between cells too:
-        // the remaining plan is marked preempted-without-running and
-        // re-executes on resume.
-        if (opts.exp.preempt && *opts.exp.preempt) {
-            CellResult skipped;
-            markPreempted(&skipped,
-                          "sweep preempted before this cell ran");
-            report.results.push_back(std::move(skipped));
-            continue;
-        }
-        const double start = monotonicMs();
-        CellResult res = executeCell(cell, opts);
-        res.wallMs = monotonicMs() - start;
-        if (opts.verbose)
-            inform("sweep [%zu/%zu] %s / %s: %s%s%s%s", i + 1,
-                   cells.size(), cellConfigName(cell).c_str(),
-                   cellWorkloadName(cell).c_str(),
-                   cellOutcomeName(res.outcome),
-                   res.fromStore ? " (replayed)" : "",
-                   res.status.ok() ? "" : " - ",
-                   res.status.ok() ? ""
-                                   : res.status.toString().c_str());
-        report.results.push_back(std::move(res));
-    }
-    return report;
+    return runScheduler(cells, opts);
 }
 
 Status

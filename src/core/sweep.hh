@@ -7,8 +7,11 @@
  * mode this runner exists to remove. Every (config, workload) cell
  * runs in its own forked child process, so a corrupt trace, an
  * internal panic, or even a SIGSEGV in one cell is recorded as that
- * cell's failure while the rest of the sweep proceeds. Two watchdogs
- * bound runaway cells:
+ * cell's failure while the rest of the sweep proceeds. One scheduler
+ * runs every sweep: it keeps up to `jobs` cells in flight (`jobs = 1`
+ * means one) and reads each child's result back in the same payload
+ * format the durable journal stores. Two watchdogs bound runaway
+ * cells:
  *
  *  - a *cycle* watchdog (in-simulator, deterministic): the cell stops
  *    at N simulated cycles and reports TimedOut;
@@ -102,7 +105,9 @@ struct CellResult
     uint64_t ops = 0;      ///< Committed (CPU) or issued (GPU) ops.
     double seconds = 0.0;  ///< Simulated time.
     double energyJ = 0.0;
-    double wallMs = 0.0;   ///< Host wall-clock spent on the cell.
+    /** Host wall-clock from the cell's first launch (journal lookup
+     *  included) through its journal write, retries included. */
+    double wallMs = 0.0;
     /** Nondeterministic failure (child crash, wall-clock kill):
      *  eligible for retry, excluded from the durable journal. */
     bool transient = false;
@@ -130,21 +135,23 @@ struct SweepOptions
      *  watchdog; runSweep warns about the downgrade). */
     double wallLimitMs = 0.0;
     /** Fork one child per cell so crashes/kills stay contained.
-     *  When false everything runs in-process (soft wall-clock
-     *  deadline only, no crash isolation; cycle watchdog still
-     *  applies). */
+     *  When false the scheduler runs each cell in-process as it
+     *  launches, one at a time (soft wall-clock deadline only, no
+     *  crash isolation; cycle watchdog still applies). */
     bool isolate = true;
     /** inform() one line per cell as the sweep progresses. */
     bool verbose = false;
-    /** Concurrent isolated cells. The scheduler forks up to this
-     *  many children at once and multiplexes their result pipes from
-     *  the calling thread (children are never forked from worker
-     *  threads). Requires `isolate`; with inline cells the value is
-     *  ignored (serial, with a warning). Results always land in plan
-     *  order, so the report is byte-identical for any job count. A
-     *  preemption request (exp.preempt) is forwarded as SIGTERM to
-     *  *every* in-flight child when mid-run checkpoints are on, so
-     *  each drains to its own resumable checkpoint. */
+    /** Cells in flight at once; 0 and 1 both mean one. The
+     *  scheduler forks up to this many children and multiplexes
+     *  their result pipes from the calling thread (children are
+     *  never forked from worker threads). Requires `isolate`; with
+     *  inline cells the value is ignored (one at a time, with a
+     *  warning). Results always land in plan order, so the report is
+     *  byte-identical for any job count. A preemption request
+     *  (exp.preempt) is forwarded as SIGTERM to *every* in-flight
+     *  child when mid-run checkpoints are on, so each drains to its
+     *  own resumable checkpoint; a cell waiting out a retry backoff
+     *  then retires with its last transient failure. */
     unsigned jobs = 1;
 
     /** Durable journal/memo tier (optional, not owned). Terminal

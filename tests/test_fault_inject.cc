@@ -24,13 +24,17 @@
 #include "workload/trace_file.hh"
 #include "workload/vector_trace.hh"
 
+#include "temp_file.hh"
+
 using namespace hetsim;
 using namespace hetsim::workload;
+using hetsim::test::TempFile;
 
 namespace
 {
 
-const char *kPristine = "/tmp/hetsim_fuzz_pristine.trace";
+/** The pristine trace every test copies; removed at exit. */
+const TempFile kPristine("fuzz_pristine.trace");
 
 /** Record a moderately sized pristine trace once for all tests. */
 uint64_t
@@ -39,7 +43,7 @@ ensurePristine()
     static uint64_t count = 0;
     if (count == 0) {
         SyntheticCpuTrace src(cpuApp("fft"), 0, 4, 11, 0.02);
-        Result<uint64_t> r = recordTrace(src, kPristine, 200);
+        Result<uint64_t> r = recordTrace(src, kPristine.path(), 200);
         EXPECT_TRUE(r.ok());
         count = r.value();
     }
@@ -50,7 +54,7 @@ ensurePristine()
 void
 copyPristine(const std::string &dst)
 {
-    std::ifstream in(kPristine, std::ios::binary);
+    std::ifstream in(kPristine.path(), std::ios::binary);
     std::ofstream out(dst, std::ios::binary);
     out << in.rdbuf();
     ASSERT_TRUE(in.good() && out.good());
@@ -96,12 +100,13 @@ isTraceErrorCode(ErrorCode c)
 TEST(FaultInjectPrimitives, FileSizeAndTruncate)
 {
     ensurePristine();
-    Result<uint64_t> size = fileSize(kPristine);
+    Result<uint64_t> size = fileSize(kPristine.path());
     ASSERT_TRUE(size.ok());
     EXPECT_EQ(size.value(),
               kTraceHeaderBytes + 200 * kTraceRecordBytes);
 
-    const std::string path = "/tmp/hetsim_fuzz_trunc.trace";
+    const TempFile file("fuzz_trunc.trace");
+    const std::string &path = file.path();
     copyPristine(path);
     ASSERT_TRUE(truncateFile(path, 100).ok());
     EXPECT_EQ(fileSize(path).value(), 100u);
@@ -109,7 +114,6 @@ TEST(FaultInjectPrimitives, FileSizeAndTruncate)
     Status grow = truncateFile(path, 1 << 20);
     ASSERT_FALSE(grow.ok());
     EXPECT_EQ(grow.code(), ErrorCode::InvalidArgument);
-    std::remove(path.c_str());
 
     EXPECT_EQ(fileSize("/nonexistent/x").status().code(),
               ErrorCode::IoError);
@@ -120,13 +124,13 @@ TEST(FaultInjectPrimitives, FileSizeAndTruncate)
 TEST(FaultInjectPrimitives, FlipBitIsItsOwnInverse)
 {
     ensurePristine();
-    const std::string path = "/tmp/hetsim_fuzz_flip.trace";
+    const TempFile file("fuzz_flip.trace");
+    const std::string &path = file.path();
     copyPristine(path);
     ASSERT_TRUE(flipBitInFile(path, 5, 3).ok());
     EXPECT_EQ(drain(path), ErrorCode::UnsupportedVersion);
     ASSERT_TRUE(flipBitInFile(path, 5, 3).ok());
     EXPECT_EQ(drain(path), ErrorCode::Ok);
-    std::remove(path.c_str());
 }
 
 TEST(FaultInjectFuzz, RandomBitFlipsNeverAbort)
@@ -134,7 +138,8 @@ TEST(FaultInjectFuzz, RandomBitFlipsNeverAbort)
     const uint64_t count = ensurePristine();
     const uint64_t bytes = kTraceHeaderBytes +
                            count * kTraceRecordBytes;
-    const std::string path = "/tmp/hetsim_fuzz_bits.trace";
+    const TempFile file("fuzz_bits.trace");
+    const std::string &path = file.path();
 
     std::set<ErrorCode> seen;
     for (uint64_t seed = 1; seed <= 64; ++seed) {
@@ -153,7 +158,6 @@ TEST(FaultInjectFuzz, RandomBitFlipsNeverAbort)
     }
     // 64 seeds of up-to-4 flips must hit several distinct classes.
     EXPECT_GE(seen.size(), 2u);
-    std::remove(path.c_str());
 }
 
 TEST(FaultInjectFuzz, RandomTruncationsNeverAbort)
@@ -161,7 +165,8 @@ TEST(FaultInjectFuzz, RandomTruncationsNeverAbort)
     const uint64_t count = ensurePristine();
     const uint64_t bytes = kTraceHeaderBytes +
                            count * kTraceRecordBytes;
-    const std::string path = "/tmp/hetsim_fuzz_cut.trace";
+    const TempFile file("fuzz_cut.trace");
+    const std::string &path = file.path();
 
     std::set<ErrorCode> seen;
     for (uint64_t seed = 1; seed <= 64; ++seed) {
@@ -180,7 +185,6 @@ TEST(FaultInjectFuzz, RandomTruncationsNeverAbort)
         seen.insert(code);
     }
     EXPECT_GE(seen.size(), 2u);
-    std::remove(path.c_str());
 }
 
 TEST(FaultInjectFuzz, CombinedFlipAndCutNeverAbort)
@@ -188,7 +192,8 @@ TEST(FaultInjectFuzz, CombinedFlipAndCutNeverAbort)
     const uint64_t count = ensurePristine();
     const uint64_t bytes = kTraceHeaderBytes +
                            count * kTraceRecordBytes;
-    const std::string path = "/tmp/hetsim_fuzz_both.trace";
+    const TempFile file("fuzz_both.trace");
+    const std::string &path = file.path();
 
     for (uint64_t seed = 100; seed < 132; ++seed) {
         copyPristine(path);
@@ -199,7 +204,6 @@ TEST(FaultInjectFuzz, CombinedFlipAndCutNeverAbort)
         ASSERT_TRUE(truncateFile(path, rng.range(bytes)).ok());
         EXPECT_TRUE(isTraceErrorCode(drain(path))) << "seed " << seed;
     }
-    std::remove(path.c_str());
 }
 
 TEST(FaultyTraceSource, TruncatesAfterLimit)
@@ -243,7 +247,8 @@ TEST(FaultyTraceSource, CorruptedStreamRecordsAndReplaysCleanly)
     // A misbehaving producer feeds recordTrace; the recorded file
     // must still open (its structure is sound) and replay must
     // either succeed or stop with CorruptRecord — never abort.
-    const std::string path = "/tmp/hetsim_fuzz_producer.trace";
+    const TempFile file("fuzz_producer.trace");
+    const std::string &path = file.path();
     for (uint64_t seed = 1; seed <= 8; ++seed) {
         SyntheticCpuTrace src(cpuApp("fft"), 0, 4, 5, 0.02);
         FaultyTraceSource::Faults f;
@@ -263,5 +268,4 @@ TEST(FaultyTraceSource, CorruptedStreamRecordsAndReplaysCleanly)
                     code == ErrorCode::CorruptRecord)
             << "seed " << seed << " -> " << errorCodeName(code);
     }
-    std::remove(path.c_str());
 }

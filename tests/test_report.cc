@@ -18,7 +18,10 @@
 #include "core/experiment.hh"
 #include "core/sweep.hh"
 
+#include "temp_file.hh"
+
 using namespace hetsim;
+using hetsim::test::TempFile;
 
 namespace
 {
@@ -131,8 +134,8 @@ TEST(Report, WriteJsonMatchesToJson)
     obs::RunReport rep;
     rep.kind = "cpu";
     rep.config = "Test";
-    const std::string path =
-        testing::TempDir() + "/hetsim_report_write.json";
+    const TempFile file("report_write.json");
+    const std::string &path = file.path();
     ASSERT_TRUE(rep.writeJson(path).ok());
     EXPECT_EQ(slurp(path), rep.toJson());
 }
@@ -265,8 +268,8 @@ TEST(Trace, ChromeExportContainsEvents)
 {
     obs::TraceBuffer buf(8);
     buf.record(5, 2, obs::TraceEvent::CacheMiss, 0xbeef, 3);
-    const std::string path =
-        testing::TempDir() + "/hetsim_trace.json";
+    const TempFile file("trace.json");
+    const std::string &path = file.path();
     ASSERT_TRUE(obs::writeChromeTrace(buf, path).ok());
     const std::string doc = slurp(path);
     EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
@@ -314,8 +317,10 @@ TEST(Report, DseJsonIsJobCountInvariant)
     core::DseOptions opts;
     opts.exp.scale = 0.01;
 
-    const std::string p1 = testing::TempDir() + "/hetsim_dse_1.json";
-    const std::string p8 = testing::TempDir() + "/hetsim_dse_8.json";
+    const TempFile f1("dse_1.json");
+    const TempFile f8("dse_8.json");
+    const std::string &p1 = f1.path();
+    const std::string &p8 = f8.path();
 
     opts.jobs = 1;
     {
@@ -353,8 +358,8 @@ TEST(Report, SweepJsonCapturesCells)
     opts.exp.scale = 0.02;
     opts.isolate = false;
     const core::SweepReport rep = core::runSweep(cells, opts);
-    const std::string path =
-        testing::TempDir() + "/hetsim_sweep.json";
+    const TempFile file("sweep.json");
+    const std::string &path = file.path();
     ASSERT_TRUE(core::writeSweepReportJson(rep, path).ok());
     const std::string doc = slurp(path);
     EXPECT_NE(doc.find("hetsim-sweep-report-v1"), std::string::npos);
@@ -396,8 +401,8 @@ TEST(Trace, SkippedRangesRecordNoEventsAndExportMonotonic)
         EXPECT_EQ(a[i].detail, b[i].detail) << i;
     }
 
-    const std::string path =
-        testing::TempDir() + "/hetsim_trace_skip.json";
+    const TempFile file("trace_skip.json");
+    const std::string &path = file.path();
     ASSERT_TRUE(obs::writeChromeTrace(*skip, path).ok());
     const std::string doc = slurp(path);
     uint64_t prev = 0;

@@ -31,8 +31,11 @@
 #include "workload/gpu_kernel_gen.hh"
 #include "workload/gpu_profiles.hh"
 
+#include "temp_file.hh"
+
 using namespace hetsim;
 using namespace hetsim::core;
+using hetsim::test::TempFile;
 
 namespace
 {
@@ -288,11 +291,9 @@ TEST(Skip, DseReportBitIdentical)
             writeDseReportJson(points, app.name, opts.objective, path)
                 .ok());
     };
-    const std::string a = testing::TempDir() + "dse_skip.json";
-    const std::string b = testing::TempDir() + "dse_noskip.json";
-    report(false, a);
-    report(true, b);
-    EXPECT_EQ(slurp(a), slurp(b));
-    std::remove(a.c_str());
-    std::remove(b.c_str());
+    const TempFile a("dse_skip.json");
+    const TempFile b("dse_noskip.json");
+    report(false, a.path());
+    report(true, b.path());
+    EXPECT_EQ(slurp(a.path()), slurp(b.path()));
 }

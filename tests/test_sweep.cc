@@ -27,8 +27,11 @@
 #include "workload/fault_inject.hh"
 #include "workload/trace_file.hh"
 
+#include "temp_file.hh"
+
 using namespace hetsim;
 using namespace hetsim::core;
+using hetsim::test::TempFile;
 
 namespace
 {
@@ -42,18 +45,18 @@ allCpuConfigs()
     return cfgs;
 }
 
-/** Record a valid trace, then corrupt its magic in place. */
-std::string
-makeCorruptTrace(const char *name)
+/** Record a valid trace into `file`, then corrupt its magic in
+ *  place; the file's path. */
+const std::string &
+makeCorruptTrace(const TempFile &file)
 {
-    const std::string path =
-        std::string("/tmp/hetsim_sweep_") + name + ".trace";
     workload::SyntheticCpuTrace src(workload::cpuApp("fft"), 0, 1,
                                     3, 0.02);
-    EXPECT_TRUE(workload::recordTrace(src, path, 100).ok());
+    EXPECT_TRUE(workload::recordTrace(src, file.path(), 100).ok());
     const uint32_t junk = 0xdeadbeef;
-    EXPECT_TRUE(workload::overwriteBytes(path, 0, &junk, 4).ok());
-    return path;
+    EXPECT_TRUE(
+        workload::overwriteBytes(file.path(), 0, &junk, 4).ok());
+    return file.path();
 }
 
 } // namespace
@@ -120,7 +123,8 @@ TEST(CrossCpuCells, CrossesAndRejectsGpuSpecs)
  */
 TEST(Sweep, FullConfigSweepSurvivesPoisonedCells)
 {
-    const std::string bad_trace = makeCorruptTrace("poisoned");
+    const TempFile poisoned("sweep_poisoned.trace");
+    const std::string &bad_trace = makeCorruptTrace(poisoned);
 
     std::vector<SweepCell> cells;
     for (CpuConfig cfg : allCpuConfigs())
@@ -159,15 +163,13 @@ TEST(Sweep, FullConfigSweepSurvivesPoisonedCells)
     }
 
     // The summary printer works on the mixed report, CSV included.
-    const std::string csv = "/tmp/hetsim_sweep_report.csv";
-    EXPECT_TRUE(printSweepReport(report, csv).ok());
-    std::FILE *f = std::fopen(csv.c_str(), "r");
+    const TempFile csv("sweep_report.csv");
+    EXPECT_TRUE(printSweepReport(report, csv.path()).ok());
+    std::FILE *f = std::fopen(csv.path().c_str(), "r");
     ASSERT_NE(f, nullptr);
     std::fclose(f);
-    std::remove(csv.c_str());
     EXPECT_EQ(printSweepReport(report, "/nonexistent/x.csv").code(),
               ErrorCode::IoError);
-    std::remove(bad_trace.c_str());
 }
 
 TEST(Sweep, ChildCrashIsContained)
@@ -243,7 +245,8 @@ TEST(Sweep, NonIsolatedModeStillRecoversInputErrors)
 
 TEST(Sweep, GoodTraceCellReplays)
 {
-    const std::string path = "/tmp/hetsim_sweep_good.trace";
+    const TempFile file("sweep_good.trace");
+    const std::string &path = file.path();
     workload::SyntheticCpuTrace src(workload::cpuApp("lu"), 0, 1, 5,
                                     0.02);
     ASSERT_TRUE(workload::recordTrace(src, path, 2000).ok());
@@ -254,7 +257,6 @@ TEST(Sweep, GoodTraceCellReplays)
     EXPECT_EQ(report.results[0].outcome, CellOutcome::Ok);
     EXPECT_EQ(report.results[0].ops, 2000u);
     EXPECT_GT(report.results[0].cycles, 0u);
-    std::remove(path.c_str());
 }
 
 TEST(Sweep, GpuKernelCell)
@@ -289,8 +291,8 @@ namespace
 std::string
 makeStoreDir(const char *tag)
 {
-    std::string tmpl =
-        "/tmp/hetsim_sweepstore_" + std::string(tag) + "_XXXXXX";
+    std::string tmpl = testing::TempDir() + "hetsim_sweepstore_" +
+        std::string(tag) + "_XXXXXX";
     EXPECT_NE(::mkdtemp(tmpl.data()), nullptr);
     return tmpl;
 }
@@ -481,9 +483,15 @@ TEST(Sweep, InlineSoftWallClockDeadlineIsExplicit)
     // Satellite fix: the inline (no-fork) path used to silently drop
     // the wall-clock watchdog. Now an overrunning inline cell is
     // loudly marked TimedOut with a soft-deadline explanation.
+    const std::string dir = makeStoreDir("soft");
+    auto store = core::ResultStore::open(dir);
+    ASSERT_TRUE(store.ok());
     SweepOptions opts;
     opts.isolate = false;
     opts.wallLimitMs = 1e-6; // Any real cell overruns this.
+    opts.maxRetries = 2;
+    opts.retryBackoffMs = 1.0;
+    opts.store = &store.value();
     const SweepReport report = runSweep(
         {cpuAppCell(CpuConfig::BaseCmos, "fft", 0.05)}, opts);
     ASSERT_EQ(report.results.size(), 1u);
@@ -493,11 +501,14 @@ TEST(Sweep, InlineSoftWallClockDeadlineIsExplicit)
     EXPECT_NE(res.status.message().find("soft wall-clock deadline"),
               std::string::npos)
         << res.status.message();
-    // Wall-clock overruns are timing-dependent: transient, so a
-    // retry budget applies and the journal stays clean.
+    // Wall-clock overruns are timing-dependent: transient, so the
+    // retry budget is spent and the journal stays clean.
     EXPECT_TRUE(res.transient);
+    EXPECT_EQ(res.retries, 2u);
+    EXPECT_EQ(store.value().counters().puts, 0u);
     // The cell ran to completion before being flagged.
     EXPECT_GT(res.cycles, 0u);
+    removeDir(dir);
 }
 
 /**
@@ -573,11 +584,11 @@ sweepPreemptHandler(int)
 } // namespace
 
 /**
- * Satellite: --jobs N. The parallel scheduler keeps results in plan
- * order and each cell computes the same deterministic result in its
- * own forked child, so a jobs=4 report is byte-identical to the
- * serial jobs=1 report — including the poisoned cell, which fails
- * identically in both.
+ * --jobs N: the scheduler keeps results in plan order and each cell
+ * computes the same deterministic result in its own forked child as
+ * it does in-process, so the isolated jobs=1 and jobs=4 reports are
+ * byte-identical to the in-process one — including the poisoned
+ * cell, which fails identically in all three.
  */
 TEST(SweepJobs, ParallelReportIsByteIdenticalToSerial)
 {
@@ -585,34 +596,45 @@ TEST(SweepJobs, ParallelReportIsByteIdenticalToSerial)
     plan.push_back(cpuAppCell(CpuConfig::BaseTfet, "lu", 0.05));
     plan.push_back(cpuAppCell(CpuConfig::BaseHetEnh, "radix", 0.05));
 
-    const SweepOptions serial;
+    SweepOptions in_process;
+    in_process.isolate = false;
     const std::string reference =
-        sweepReportToJson(runSweep(plan, serial));
+        sweepReportToJson(runSweep(plan, in_process));
 
-    SweepOptions parallel = serial;
-    parallel.jobs = 4;
-    const SweepReport report = runSweep(plan, parallel);
-    ASSERT_EQ(report.results.size(), plan.size());
-    EXPECT_EQ(sweepReportToJson(report), reference);
+    for (const unsigned jobs : {1u, 4u}) {
+        SweepOptions opts;
+        opts.jobs = jobs;
+        const SweepReport report = runSweep(plan, opts);
+        ASSERT_EQ(report.results.size(), plan.size());
+        EXPECT_EQ(sweepReportToJson(report), reference)
+            << "jobs " << jobs;
+    }
 }
 
 /**
- * Satellite: a preemption request reaching a parallel sweep is
- * forwarded as SIGTERM to *every* in-flight forked cell, and each
- * drains to its own mid-run checkpoint and reports preempted instead
- * of dying. The forked cells inherit the SIGTERM handler installed
- * here, exactly as they inherit the CLI's handler in production. The
- * request comes from a one-shot SIGALRM, not a thread: forking while
- * another thread runs can hand a child a lock (a sanitizer's, say)
- * that no thread of the child will ever release.
+ * A preemption request reaching a sweep is forwarded as SIGTERM to
+ * *every* in-flight forked cell, and each drains to its own mid-run
+ * checkpoint and reports preempted instead of dying; cells not yet
+ * launched report that they never ran. The forked cells inherit the
+ * SIGTERM handler installed here, exactly as they inherit the CLI's
+ * handler in production. The request comes from a one-shot SIGALRM,
+ * not a thread: forking while another thread runs can hand a child a
+ * lock (a sanitizer's, say) that no thread of the child will ever
+ * release. The parameter is the job count.
  */
-TEST(SweepJobs, PreemptionForwardsSigtermToAllInflightCells)
+class SweepPreemption : public testing::TestWithParam<unsigned>
 {
+};
+
+TEST_P(SweepPreemption, ForwardsSigtermToAllInflightCells)
+{
+    const unsigned jobs = GetParam();
     const std::string dir = makeStoreDir("jobsterm");
     auto store = core::ResultStore::open(dir);
     ASSERT_TRUE(store.ok());
 
-    // Long cells, all in flight at once when the preemption lands.
+    // Long cells: every one launched is still running when the
+    // preemption lands.
     const std::vector<SweepCell> plan = {
         cpuAppCell(CpuConfig::BaseCmos, "fft", 50.0),
         cpuAppCell(CpuConfig::BaseCmos, "lu", 50.0),
@@ -621,7 +643,7 @@ TEST(SweepJobs, PreemptionForwardsSigtermToAllInflightCells)
     };
 
     SweepOptions opts;
-    opts.jobs = 3;
+    opts.jobs = jobs;
     opts.store = &store.value();
     opts.checkpointDir = dir;
     opts.exp.checkpointEveryCycles = 20000;
@@ -652,13 +674,29 @@ TEST(SweepJobs, PreemptionForwardsSigtermToAllInflightCells)
             // The drain happened mid-run: progress was made and
             // preserved, not discarded by the SIGTERM.
             EXPECT_GT(res.cycles, 0u);
+        } else {
+            EXPECT_EQ(res.status.message(),
+                      "sweep preempted before this cell ran");
         }
     }
-    // jobs=3 had three cells in flight concurrently; every one must
-    // have received the forwarded SIGTERM and drained (the fourth
-    // never started and is marked preempted-without-running).
-    EXPECT_GE(checkpointed, 2u);
+    if (jobs == 1) {
+        // One cell in flight: it alone drains, and the rest never
+        // ran.
+        EXPECT_EQ(checkpointed, 1u);
+        EXPECT_GT(report.results[0].cycles, 0u);
+    } else {
+        // jobs=3 had three cells in flight concurrently; every one
+        // must have received the forwarded SIGTERM and drained (the
+        // fourth never started).
+        EXPECT_GE(checkpointed, 2u);
+    }
     // Preempted outcomes never reach the durable journal.
     EXPECT_EQ(countEntries(dir), 0u);
     removeDir(dir);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Jobs, SweepPreemption, testing::Values(1u, 3u),
+    [](const testing::TestParamInfo<unsigned> &info) {
+        return "jobs" + std::to_string(info.param);
+    });

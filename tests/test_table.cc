@@ -5,13 +5,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/table.hh"
 
+#include "temp_file.hh"
+
 using namespace hetsim;
+using hetsim::test::TempFile;
 
 TEST(FormatDouble, Precision)
 {
@@ -41,7 +43,8 @@ TEST(TablePrinter, CsvRoundTrip)
     TablePrinter t("csv test", {"name", "value"});
     t.addRow({"alpha", "1.0"});
     t.addRow({"beta", "2.5"});
-    const std::string path = "/tmp/hetsim_test_table.csv";
+    const TempFile file("test_table.csv");
+    const std::string &path = file.path();
     ASSERT_TRUE(t.writeCsv(path));
 
     std::ifstream in(path);
@@ -52,7 +55,6 @@ TEST(TablePrinter, CsvRoundTrip)
     EXPECT_EQ(line, "alpha,1.0");
     std::getline(in, line);
     EXPECT_EQ(line, "beta,2.5");
-    std::remove(path.c_str());
 }
 
 TEST(CsvQuote, PlainCellsPassThrough)
@@ -80,7 +82,8 @@ TEST(TablePrinter, CsvQuotesCellsWithDelimiters)
     TablePrinter t("csv quoting", {"name", "detail"});
     t.addRow({"ok", "latency=4, energy=2"});
     t.addRow({"quoted", "the \"fast\" path"});
-    const std::string path = "/tmp/hetsim_test_table_quote.csv";
+    const TempFile file("test_table_quote.csv");
+    const std::string &path = file.path();
     ASSERT_TRUE(t.writeCsv(path));
 
     std::ifstream in(path);
@@ -91,7 +94,6 @@ TEST(TablePrinter, CsvQuotesCellsWithDelimiters)
     EXPECT_EQ(line, "ok,\"latency=4, energy=2\"");
     std::getline(in, line);
     EXPECT_EQ(line, "quoted,\"the \"\"fast\"\" path\"");
-    std::remove(path.c_str());
 }
 
 TEST(TablePrinter, CsvBadPathFails)

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "cpu/multicore.hh"
@@ -17,23 +16,20 @@
 #include "workload/trace_file.hh"
 #include "workload/vector_trace.hh"
 
+#include "temp_file.hh"
+
 using namespace hetsim;
 using namespace hetsim::workload;
+using hetsim::test::TempFile;
 
 namespace
 {
 
-std::string
-tmpPath(const char *name)
+/** Record a small two-record trace for corruption tests into `file`
+ *  and return its path. */
+const std::string &
+makeSmallTrace(const TempFile &file)
 {
-    return std::string("/tmp/hetsim_") + name + ".trace";
-}
-
-/** Record a small two-record trace for corruption tests. */
-std::string
-makeSmallTrace(const char *name)
-{
-    const std::string path = tmpPath(name);
     VectorTrace v;
     cpu::MicroOp op;
     op.cls = cpu::OpClass::IntAlu;
@@ -42,8 +38,8 @@ makeSmallTrace(const char *name)
     v.add(op);
     op.dst = 6;
     v.add(op);
-    EXPECT_TRUE(recordTrace(v, path).ok());
-    return path;
+    EXPECT_TRUE(recordTrace(v, file.path()).ok());
+    return file.path();
 }
 
 } // namespace
@@ -51,7 +47,8 @@ makeSmallTrace(const char *name)
 TEST(TraceFile, RoundTripIsBitIdentical)
 {
     const AppProfile &app = cpuApp("lu");
-    const std::string path = tmpPath("roundtrip");
+    const TempFile file("roundtrip.trace");
+    const std::string &path = file.path();
 
     SyntheticCpuTrace writer_src(app, 0, 4, 7, 0.05);
     Result<uint64_t> written = recordTrace(writer_src, path);
@@ -83,13 +80,13 @@ TEST(TraceFile, RoundTripIsBitIdentical)
     }
     EXPECT_EQ(n, written.value());
     EXPECT_TRUE(replay.value()->status().ok());
-    std::remove(path.c_str());
 }
 
 TEST(TraceFile, ReplayReproducesSimulationExactly)
 {
     const AppProfile &app = cpuApp("water-sp");
-    const std::string path = tmpPath("sim");
+    const TempFile file("sim.trace");
+    const std::string &path = file.path();
 
     // Record thread 0's trace, then simulate one core from the
     // generator and from the file: identical cycle counts.
@@ -108,13 +105,13 @@ TEST(TraceFile, ReplayReproducesSimulationExactly)
     auto replay = FileTrace::open(path);
     ASSERT_TRUE(replay.ok());
     EXPECT_EQ(run(live), run(*replay.value()));
-    std::remove(path.c_str());
 }
 
 TEST(TraceFile, MaxOpsTruncates)
 {
     const AppProfile &app = cpuApp("fft");
-    const std::string path = tmpPath("truncated");
+    const TempFile file("truncated.trace");
+    const std::string &path = file.path();
     SyntheticCpuTrace src(app, 0, 4, 1, 0.05);
     Result<uint64_t> written = recordTrace(src, path, 500);
     ASSERT_TRUE(written.ok());
@@ -127,12 +124,12 @@ TEST(TraceFile, MaxOpsTruncates)
     while (replay.value()->next(op))
         ++n;
     EXPECT_EQ(n, 500u);
-    std::remove(path.c_str());
 }
 
 TEST(TraceFile, RewindRestartsReplay)
 {
-    const std::string path = makeSmallTrace("rewind");
+    const TempFile file("rewind.trace");
+    const std::string &path = makeSmallTrace(file);
 
     auto replay = FileTrace::open(path);
     ASSERT_TRUE(replay.ok());
@@ -142,12 +139,12 @@ TEST(TraceFile, RewindRestartsReplay)
     ASSERT_TRUE(replay.value()->next(again));
     EXPECT_EQ(first.dst, again.dst);
     EXPECT_EQ(first.pc, again.pc);
-    std::remove(path.c_str());
 }
 
 TEST(TraceFile, EmptySourceYieldsEmptyTrace)
 {
-    const std::string path = tmpPath("empty");
+    const TempFile file("empty.trace");
+    const std::string &path = file.path();
     VectorTrace v;
     Result<uint64_t> written = recordTrace(v, path);
     ASSERT_TRUE(written.ok());
@@ -158,7 +155,6 @@ TEST(TraceFile, EmptySourceYieldsEmptyTrace)
     cpu::MicroOp op;
     EXPECT_FALSE(replay.value()->next(op));
     EXPECT_TRUE(replay.value()->status().ok());
-    std::remove(path.c_str());
 }
 
 TEST(TraceFile, RecordToUnwritablePathIsIoError)
@@ -184,7 +180,8 @@ TEST(TraceFileMalformed, MissingFileIsIoError)
 
 TEST(TraceFileMalformed, BadMagic)
 {
-    const std::string path = tmpPath("badmagic");
+    const TempFile file("badmagic.trace");
+    const std::string &path = file.path();
     {
         std::ofstream out(path, std::ios::binary);
         out << "this is not a trace file at all.............";
@@ -194,34 +191,34 @@ TEST(TraceFileMalformed, BadMagic)
     EXPECT_EQ(r.status().code(), ErrorCode::BadMagic);
     EXPECT_NE(r.status().message().find("bad magic"),
               std::string::npos);
-    std::remove(path.c_str());
 }
 
 TEST(TraceFileMalformed, UnsupportedVersion)
 {
-    const std::string path = makeSmallTrace("version");
+    const TempFile file("version.trace");
+    const std::string &path = makeSmallTrace(file);
     const uint32_t future_version = kTraceVersion + 9;
     ASSERT_TRUE(
         overwriteBytes(path, 4, &future_version, 4).ok());
     auto r = FileTrace::open(path);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), ErrorCode::UnsupportedVersion);
-    std::remove(path.c_str());
 }
 
 TEST(TraceFileMalformed, TruncatedHeader)
 {
-    const std::string path = makeSmallTrace("shorthdr");
+    const TempFile file("shorthdr.trace");
+    const std::string &path = makeSmallTrace(file);
     ASSERT_TRUE(truncateFile(path, kTraceHeaderBytes - 3).ok());
     auto r = FileTrace::open(path);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), ErrorCode::TruncatedHeader);
-    std::remove(path.c_str());
 }
 
 TEST(TraceFileMalformed, TruncatedRecordStream)
 {
-    const std::string path = makeSmallTrace("shortrec");
+    const TempFile file("shortrec.trace");
+    const std::string &path = makeSmallTrace(file);
     // Cut the second record in half: stray bytes after the last
     // whole record.
     ASSERT_TRUE(truncateFile(path, kTraceHeaderBytes +
@@ -231,12 +228,12 @@ TEST(TraceFileMalformed, TruncatedRecordStream)
     auto r = FileTrace::open(path);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), ErrorCode::TruncatedStream);
-    std::remove(path.c_str());
 }
 
 TEST(TraceFileMalformed, RecordCountSizeMismatch)
 {
-    const std::string path = makeSmallTrace("countmismatch");
+    const TempFile file("countmismatch.trace");
+    const std::string &path = makeSmallTrace(file);
     // Drop exactly one whole record; header still claims two.
     ASSERT_TRUE(
         truncateFile(path, kTraceHeaderBytes + kTraceRecordBytes)
@@ -244,12 +241,12 @@ TEST(TraceFileMalformed, RecordCountSizeMismatch)
     auto r = FileTrace::open(path);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), ErrorCode::SizeMismatch);
-    std::remove(path.c_str());
 }
 
 TEST(TraceFileMalformed, CorruptOpClassIsRecoverable)
 {
-    const std::string path = makeSmallTrace("badclass");
+    const TempFile file("badclass.trace");
+    const std::string &path = makeSmallTrace(file);
     // First byte of the first record is the op class; 0xFF is far
     // outside the OpClass range.
     const uint8_t bad_cls = 0xFF;
@@ -265,7 +262,6 @@ TEST(TraceFileMalformed, CorruptOpClassIsRecoverable)
     EXPECT_TRUE(r.value()->status().ok());
     EXPECT_FALSE(r.value()->next(op));
     EXPECT_EQ(r.value()->status().code(), ErrorCode::CorruptRecord);
-    std::remove(path.c_str());
 }
 
 /** A register outside [-1, 64) would index past the core's
@@ -275,7 +271,8 @@ TEST(TraceFileMalformed, OutOfRangeRegisterIsCorruptRecord)
 {
     for (const uint64_t field : {4u, 6u, 8u}) {
         for (const int16_t reg : {20000, 64, -2}) {
-            const std::string path = makeSmallTrace("badreg");
+            const TempFile file("badreg.trace");
+            const std::string &path = makeSmallTrace(file);
             ASSERT_TRUE(overwriteBytes(path,
                                        kTraceHeaderBytes +
                                            kTraceRecordBytes + field,
@@ -290,7 +287,6 @@ TEST(TraceFileMalformed, OutOfRangeRegisterIsCorruptRecord)
                       ErrorCode::CorruptRecord);
             EXPECT_NE(r.value()->status().message().find("register"),
                       std::string::npos);
-            std::remove(path.c_str());
         }
     }
 }
@@ -299,12 +295,12 @@ TEST(TraceFileMalformed, OutOfRangeRegisterIsCorruptRecord)
 TEST(TraceFileMalformed, RetiredVersionsAreUnsupported)
 {
     for (const uint32_t version : {1u, 2u}) {
-        const std::string path = makeSmallTrace("retired");
+        const TempFile file("retired.trace");
+        const std::string &path = makeSmallTrace(file);
         ASSERT_TRUE(overwriteBytes(path, 4, &version, 4).ok());
         auto r = FileTrace::open(path);
         ASSERT_FALSE(r.ok());
         EXPECT_EQ(r.status().code(), ErrorCode::UnsupportedVersion);
-        std::remove(path.c_str());
     }
 }
 
