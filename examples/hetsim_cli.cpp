@@ -346,92 +346,19 @@ openStoreArg(const Args &args)
     return orDie(core::ResultStore::open(args.str("store")));
 }
 
-/** Store key of one run/gpu invocation: command identity plus every
- *  ExperimentOptions field that feeds the result. */
-std::string
-runStoreKey(const char *kind, const std::string &config,
-            const std::string &workload,
-            const core::ExperimentOptions &opts)
-{
-    // The checkpoint cadence participates: drains pause fetch, so
-    // runs with different cadences report different cycle counts.
-    char buf[176];
-    std::snprintf(buf, sizeof(buf),
-                  "|s%llu|x%.9g|f%.9g|c%u|w%llu|k%d|g%d|e%llu",
-                  static_cast<unsigned long long>(opts.seed),
-                  opts.scale, opts.freqGhz, opts.coresOverride,
-                  static_cast<unsigned long long>(
-                      opts.watchdogCycles),
-                  opts.noSkip ? 1 : 0,
-                  opts.variationGuardband ? 1 : 0,
-                  static_cast<unsigned long long>(
-                      opts.checkpointEveryCycles));
-    return std::string("run-report-v1|") + kind + "|" + config +
-           "|" + workload + buf;
-}
-
-/** Durable memo of one run/gpu invocation: the table scalars plus
- *  the full RunReport document, so a warm hit reproduces both the
- *  printed table and byte-identical --report-json output. */
-struct RunMemo
-{
-    uint64_t cycles = 0;
-    uint64_t ops = 0;
-    double seconds = 0.0;
-    double energyJ = 0.0;
-    std::string reportJson;
-    bool preempted = false; ///< Never journaled.
-};
-
-struct [[gnu::packed]] RunMemoHead
-{
-    uint64_t cycles;
-    uint64_t ops;
-    double seconds;
-    double energyJ;
-    uint32_t reportLen;
-};
-
-std::string
-encodeRunMemo(const RunMemo &memo)
-{
-    const RunMemoHead head = {
-        memo.cycles, memo.ops, memo.seconds, memo.energyJ,
-        static_cast<uint32_t>(memo.reportJson.size())};
-    std::string out(reinterpret_cast<const char *>(&head),
-                    sizeof(head));
-    out += memo.reportJson;
-    return out;
-}
-
-bool
-decodeRunMemo(const std::string &payload, RunMemo *out)
-{
-    RunMemoHead head;
-    if (payload.size() < sizeof(head))
-        return false;
-    std::memcpy(&head, payload.data(), sizeof(head));
-    if (payload.size() != sizeof(head) + head.reportLen)
-        return false;
-    out->cycles = head.cycles;
-    out->ops = head.ops;
-    out->seconds = head.seconds;
-    out->energyJ = head.energyJ;
-    out->reportJson = payload.substr(sizeof(head));
-    return true;
-}
-
 /** Simulates one run or gpu invocation into (report, trace). */
-using Simulate =
-    std::function<RunMemo(obs::RunReport *, obs::TraceBuffer *)>;
+using Simulate = std::function<core::RunRecord(obs::RunReport *,
+                                               obs::TraceBuffer *)>;
 
 /**
  * The path run and gpu share: serve the invocation from --store when
- * it holds a verified memo, else simulate it (exit 3 when a
- * checkpointed run is preempted) and journal it; then print the
- * table and write the artifacts. gpu prints no ED^2 row and takes no
- * --csv. A traced run always simulates (tracing records live
- * pipeline events) and still journals its result.
+ * it holds a verified record under the run key, else simulate it
+ * (exit 3 when a checkpointed run is preempted) and journal it with
+ * its report; then print the table and write the artifacts. A record
+ * without a report (journaled by sweep or dse) serves only a run that
+ * writes none. gpu prints no ED^2 row and takes no --csv. A traced run
+ * always simulates (tracing records live pipeline events) and still
+ * journals its result.
  */
 int
 runOne(const Args &args, const std::string &config,
@@ -445,35 +372,45 @@ runOne(const Args &args, const std::string &config,
     const bool want_trace = args.has("trace-out");
 
     std::optional<core::ResultStore> store = openStoreArg(args);
-    const std::string key = store
-        ? runStoreKey(gpu ? "gpu" : "cpu", config, workload, opts)
-        : "";
+    const std::string key = core::runKey(design_hash, workload, opts);
 
-    RunMemo memo;
+    core::RunRecord rec;
     bool from_store = false;
     if (store && !want_trace) {
-        if (Result<std::string> hit = store->get(key); hit.ok())
-            from_store = decodeRunMemo(hit.value(), &memo);
+        if (Result<std::string> hit = store->get(key); hit.ok()) {
+            Result<core::RunRecord> stored =
+                core::decodeRunRecord(hit.value());
+            from_store = stored.ok() && (!args.has("report-json") ||
+                                         !stored->reportJson.empty());
+            if (from_store)
+                rec = std::move(stored).value();
+        }
     }
 
     if (!from_store) {
         // Fill the report whenever it is journaled, not only when
         // --report-json asked for it: a later warm hit needs it.
         const bool want_report = args.has("report-json") || store;
-        memo = simulate(want_report ? &report : nullptr,
-                        want_trace ? &trace : nullptr);
-        if (memo.preempted) {
+        rec = simulate(want_report ? &report : nullptr,
+                       want_trace ? &trace : nullptr);
+        if (rec.status.code() == ErrorCode::Preempted) {
             std::printf("preempted at cycle %llu: checkpoint saved "
                         "to %s; rerun the same command to resume\n",
-                        static_cast<unsigned long long>(memo.cycles),
+                        static_cast<unsigned long long>(rec.cycles),
                         opts.checkpointPath.c_str());
             return kExitPreempted;
         }
         report.designHash = design_hash;
         if (want_report)
-            memo.reportJson = report.toJson();
-        if (store) {
-            if (Status s = store->put(key, encodeRunMemo(memo));
+            rec.reportJson = report.toJson();
+        // Without a cadence a preemption drains off-cadence and
+        // perturbs timing, so a run that may have resumed from such a
+        // checkpoint is not the result its key names: never journal
+        // one.
+        const bool preempt_only = !opts.checkpointPath.empty() &&
+                                  opts.checkpointEveryCycles == 0;
+        if (store && !preempt_only) {
+            if (Status s = store->put(key, core::encodeRunRecord(rec));
                 !s.ok())
                 warn("%s: store put failed: %s", gpu ? "gpu" : "run",
                      s.toString().c_str());
@@ -481,20 +418,20 @@ runOne(const Args &args, const std::string &config,
     }
 
     const double power_w =
-        memo.seconds > 0.0 ? memo.energyJ / memo.seconds : 0.0;
+        rec.seconds > 0.0 ? rec.energyJ / rec.seconds : 0.0;
     TablePrinter t(std::string(gpu ? "hetsim gpu: " : "hetsim run: ") +
                        config + " / " + workload,
                    {"metric", "value"});
-    t.addRow({"cycles", std::to_string(memo.cycles)});
+    t.addRow({"cycles", std::to_string(rec.cycles)});
     t.addRow({gpu ? "issued ops" : "committed ops",
-              std::to_string(memo.ops)});
-    t.addRow({"time (ms)", formatDouble(memo.seconds * 1e3, 4)});
-    t.addRow({"energy (mJ)", formatDouble(memo.energyJ * 1e3, 4)});
+              std::to_string(rec.ops)});
+    t.addRow({"time (ms)", formatDouble(rec.seconds * 1e3, 4)});
+    t.addRow({"energy (mJ)", formatDouble(rec.energyJ * 1e3, 4)});
     t.addRow({"power (W)", formatDouble(power_w, 3)});
     if (!gpu) {
         char ed2[32];
         std::snprintf(ed2, sizeof(ed2), "%.3e",
-                      memo.energyJ * memo.seconds * memo.seconds);
+                      rec.energyJ * rec.seconds * rec.seconds);
         t.addRow({"ED^2 (J s^2)", ed2});
     }
     t.print();
@@ -504,7 +441,7 @@ runOne(const Args &args, const std::string &config,
     if (args.has("report-json")) {
         // A warm hit writes the journaled bytes: the cold run's file.
         const std::string path = args.str("report-json");
-        if (const Status s = writeFile(path, memo.reportJson); !s.ok())
+        if (const Status s = writeFile(path, rec.reportJson); !s.ok())
             dieOn(s);
         std::printf("report: %s\n", path.c_str());
     }
@@ -534,12 +471,8 @@ cmdRun(const Args &args)
     return runOne(args, core::cpuConfigName(cfg), app->name, opts,
                   core::designHash(core::cpuHybridFromConfig(cfg)),
                   [&](obs::RunReport *report, obs::TraceBuffer *trace) {
-                      const core::CpuOutcome out = core::runCpuExperiment(
-                          cfg, *app, opts, report, trace);
-                      return RunMemo{out.cycles, out.committedOps,
-                                     out.metrics.seconds,
-                                     out.metrics.energyJ, "",
-                                     out.preempted};
+                      return core::runRecord(core::runCpuExperiment(
+                          cfg, *app, opts, report, trace));
                   });
 }
 
@@ -554,12 +487,8 @@ cmdGpu(const Args &args)
     return runOne(args, core::gpuConfigName(cfg), kernel->name, opts,
                   core::designHash(core::gpuHybridFromConfig(cfg)),
                   [&](obs::RunReport *report, obs::TraceBuffer *trace) {
-                      const core::GpuOutcome out = core::runGpuExperiment(
-                          cfg, *kernel, opts, report, trace);
-                      return RunMemo{out.cycles, out.issuedOps,
-                                     out.metrics.seconds,
-                                     out.metrics.energyJ, "",
-                                     out.preempted};
+                      return core::runRecord(core::runGpuExperiment(
+                          cfg, *kernel, opts, report, trace));
                   });
 }
 
@@ -745,7 +674,7 @@ cmdDse(const Args &args)
     ThreadPool pool(opts.jobs);
     core::DseCache cache;
     std::vector<core::DsePoint> points;
-    uint64_t prev_hits = 0, prev_misses = 0;
+    uint64_t prev_hits = 0, prev_misses = 0, prev_store_hits = 0;
 
     for (uint64_t pass = 1; pass <= repeat; ++pass) {
         if (space == "cpu") {
@@ -768,17 +697,26 @@ cmdDse(const Args &args)
                 core::enumerateGpuDesigns(), *kernel, opts, pool,
                 cache);
         }
+        // The store is read only on memo misses, so its hits are the
+        // misses it served.
         const uint64_t hits = cache.hits() - prev_hits;
         const uint64_t misses = cache.misses() - prev_misses;
+        const uint64_t store_hits =
+            store ? store->counters().hits - prev_store_hits : 0;
         prev_hits = cache.hits();
         prev_misses = cache.misses();
+        prev_store_hits += store_hits;
         std::printf("pass %llu/%llu: %zu designs evaluated "
-                    "(%llu simulated, %llu cache hits)\n",
+                    "(%llu simulated, %llu cache hits",
                     static_cast<unsigned long long>(pass),
                     static_cast<unsigned long long>(repeat),
                     points.size(),
-                    static_cast<unsigned long long>(misses),
+                    static_cast<unsigned long long>(misses - store_hits),
                     static_cast<unsigned long long>(hits));
+        if (store)
+            std::printf(", %llu store hits",
+                        static_cast<unsigned long long>(store_hits));
+        std::printf(")\n");
     }
     if (points.empty())
         die("no designs survived synthesis and the area budget");

@@ -3,6 +3,11 @@
 #   - run --store and gpu --store, run cold then warm: the warm run
 #     prints "store: verified hit", the same table and the cold run's
 #     --report-json bytes;
+#   - run, sweep and dse on one store keep one entry per computation
+#     and serve each other's; a sweep's record (no report) does not
+#     serve run --report-json; --freq 2.0000000001 misses the --freq 2
+#     entry; a run resumed from a preempt-only checkpoint is not
+#     journaled;
 #   - every option rejection exits 1, not 0 or an abort, with the
 #     option named on the first line of stderr;
 #   - replaying a trace whose registers lie outside the scoreboard
@@ -96,6 +101,70 @@ for cmd in "run --config AdvHet --app fft --scale 0.05" \
     cmp -s "$work/cold.table" "$work/warm.table" ||
         fail "$cmd: warm table differs from the cold run"
 done
+
+# One store entry per computation: run, sweep and dse name a run by
+# one key and store one record, so each serves the others.
+one="--config AdvHet --app fft --scale 0.002"
+# shellcheck disable=SC2086
+$cli run $one --store "$work/one" --report-json "$work/one_cold.json" \
+    > /dev/null || fail "run into a new store exited $?"
+"$cli" sweep --configs AdvHet --workloads fft --scale 0.002 \
+    --store "$work/one" --resume 1 > "$work/out" 2> /dev/null ||
+    fail "sweep after run exited $?"
+grep -q '^journal: 1 cells replayed' "$work/out" ||
+    fail "sweep did not replay the run's entry"
+"$cli" dse --space cpu --app fft --scale 0.002 --jobs 2 \
+    --store "$work/one" > "$work/out" || fail "dse after sweep exited $?"
+grep -q '^store: 1 hits' "$work/out" ||
+    fail "dse was not served the run's entry: $(grep '^store' "$work/out")"
+entries=$(ls "$work/one" | grep -c '\.hres$')
+[ "$entries" -eq 1153 ] ||
+    fail "run, sweep and dse left $entries entries for 1153 computations"
+# Doubles are keyed exactly: 2.0000000001 GHz is not 2 GHz.
+# shellcheck disable=SC2086
+$cli run $one --freq 2.0000000001 --store "$work/one" > "$work/out" ||
+    fail "run --freq 2.0000000001 exited $?"
+grep -q 'verified hit' "$work/out" &&
+    fail "run --freq 2.0000000001 was served the --freq 2 entry"
+# A sweep's record has no report: it does not serve run --report-json,
+# which simulates (matching the cold run) and journals one that does.
+"$cli" sweep --configs AdvHet --workloads fft --scale 0.002 \
+    --store "$work/two" > /dev/null 2>&1 || fail "sweep exited $?"
+for pass in miss hit; do
+    # shellcheck disable=SC2086
+    $cli run $one --store "$work/two" \
+        --report-json "$work/two_$pass.json" > "$work/out" ||
+        fail "run after sweep ($pass) exited $?"
+    cmp -s "$work/one_cold.json" "$work/two_$pass.json" ||
+        fail "run after sweep ($pass): report differs from a cold run"
+    if [ $pass = miss ]; then
+        grep -q 'verified hit' "$work/out" &&
+            fail "run --report-json was served a record without a report"
+    else
+        grep -q 'verified hit' "$work/out" ||
+            fail "second run after sweep was not a verified hit"
+    fi
+done
+
+# A run resumed from a preempt-only checkpoint (--checkpoint without
+# --checkpoint-every) drained off-cadence, so its timing is perturbed:
+# it may read the store but must not journal that result.
+pre="run --config AdvHet --app cholesky --scale 3 --store $work/pre"
+# shellcheck disable=SC2086
+$cli $pre --checkpoint "$work/pre.hckp" > /dev/null 2>&1 &
+pid=$!
+sleep 0.5
+kill -TERM $pid 2> /dev/null
+wait $pid
+rc=$?
+[ "$rc" -eq 3 ] || fail "preempt-only run exited $rc, not 3"
+# shellcheck disable=SC2086
+$cli $pre --checkpoint "$work/pre.hckp" > /dev/null 2> "$work/err" ||
+    fail "rerun of the preempted run exited $?"
+grep -q 'resumed' "$work/err" ||
+    fail "the preempt-only run did not resume from its checkpoint"
+ls "$work/pre" | grep -q '\.hres$' &&
+    fail "a run resumed from a preempt-only checkpoint was journaled"
 
 # A trace whose first 10 records have src1 and dst set to 20000.
 "$cli" record --app fft --scale 0.01 --max 20 --out "$work/bad.trace" \

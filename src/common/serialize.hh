@@ -1,6 +1,6 @@
 /**
  * @file
- * Byte-level serialization helpers for the checkpoint subsystem.
+ * Byte-level serialization helpers for checkpoints and run records.
  *
  * Serializer appends fixed-width little-endian scalars and
  * length-prefixed byte strings to a growing buffer, grouped into named
@@ -171,6 +171,9 @@ class Deserializer
     }
 
     std::string getString();
+
+    /** True once every byte has been read. */
+    bool atEnd() const { return pos_ == data_.size(); }
 
     /** True until any read or section check has failed. */
     bool ok() const { return err_.ok(); }

@@ -1,9 +1,7 @@
 #include "core/dse.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 
 #include "common/file.hh"
 #include "common/logging.hh"
@@ -594,25 +592,6 @@ DseCache::misses() const
     return misses_;
 }
 
-std::string
-dseCacheKey(uint64_t design_hash, const std::string &workload,
-            const ExperimentOptions &opts)
-{
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%016llx|%s|s%llu|x%.9g|f%.9g|g%d|c%u|w%llu|k%d",
-                  static_cast<unsigned long long>(design_hash),
-                  workload.c_str(),
-                  static_cast<unsigned long long>(opts.seed),
-                  opts.scale, opts.freqGhz,
-                  opts.variationGuardband ? 1 : 0,
-                  opts.coresOverride,
-                  static_cast<unsigned long long>(
-                      opts.watchdogCycles),
-                  opts.noSkip ? 1 : 0);
-    return buf;
-}
-
 namespace
 {
 
@@ -628,29 +607,13 @@ struct PreparedCell
     uint32_t cores = 0;
 };
 
-/** Durable-store payload of one evaluated point. Name, hash, area,
- *  and core count are recomputed from the design at admission time,
- *  so only the simulated metrics need to persist. */
-#pragma pack(push, 1)
-struct DseCellPayload
-{
-    double seconds;
-    double energyJ;
-};
-#pragma pack(pop)
-
-std::string
-dseStoreKey(const std::string &memo_key)
-{
-    return "dse-cell-v1|" + memo_key;
-}
-
 /**
  * Shared fan-out: every prepared cell runs `simulate` unless the
  * in-memory memo holds its key, or — behind that — the durable store
- * does. Fresh simulations are journaled back to the store. Each cell
- * writes only slot i, so the result vector is identical for any job
- * count and any mix of memo/store/simulated sources.
+ * holds a record for it. Fresh records are journaled back to the
+ * store. Each cell writes only slot i, so the result vector is
+ * identical for any job count and any mix of memo/store/simulated
+ * sources.
  */
 template <typename Bundle, typename Simulate>
 std::vector<DsePoint>
@@ -667,36 +630,25 @@ evaluateCells(const std::vector<PreparedCell<Bundle>> &cells,
             p.hash = cell.hash;
             p.areaMm2 = cell.areaMm2;
             p.cores = cell.cores;
-            bool from_store = false;
+            Result<RunRecord> rec =
+                Status::error(ErrorCode::NotFound, "no store");
             if (store != nullptr) {
-                const Result<std::string> hit =
-                    store->get(dseStoreKey(cell.key));
-                DseCellPayload payload;
-                if (hit.ok() &&
-                    hit.value().size() == sizeof(payload)) {
-                    std::memcpy(&payload, hit.value().data(),
-                                sizeof(payload));
-                    p.seconds = payload.seconds;
-                    p.energyJ = payload.energyJ;
-                    from_store = true;
-                }
+                const Result<std::string> hit = store->get(cell.key);
+                if (hit.ok())
+                    rec = decodeRunRecord(hit.value());
             }
-            if (!from_store) {
-                simulate(cell, &p);
+            if (!rec.ok()) {
+                rec = simulate(cell);
                 if (store != nullptr) {
-                    DseCellPayload payload;
-                    payload.seconds = p.seconds;
-                    payload.energyJ = p.energyJ;
-                    const Status s = store->put(
-                        dseStoreKey(cell.key),
-                        std::string(reinterpret_cast<const char *>(
-                                        &payload),
-                                    sizeof(payload)));
+                    const Status s =
+                        store->put(cell.key, encodeRunRecord(*rec));
                     if (!s.ok())
                         warn("dse store write failed: %s",
                              s.toString().c_str());
                 }
             }
+            p.seconds = rec->seconds;
+            p.energyJ = rec->energyJ;
             cache.insert(cell.key, p);
         }
         results[i] = p;
@@ -727,8 +679,7 @@ evaluateCpuDesigns(const std::vector<CpuHybridDesign> &designs,
         PreparedCell<CpuConfigBundle> cell;
         cell.name = designName(d);
         cell.hash = designHash(d);
-        cell.key = dseCacheKey(cell.hash, std::string("cpu:") +
-                               app.name, opts.exp);
+        cell.key = runKey(cell.hash, app.name, opts.exp);
         cell.bundle = std::move(bundle.value());
         cell.areaMm2 = area;
         cell.cores = cell.bundle.numCores;
@@ -737,11 +688,9 @@ evaluateCpuDesigns(const std::vector<CpuHybridDesign> &designs,
 
     return evaluateCells(
         cells, pool, cache, opts.store,
-        [&](const PreparedCell<CpuConfigBundle> &cell, DsePoint *p) {
-            const CpuOutcome out =
-                runCpuBundle(cell.bundle, cell.name, app, opts.exp);
-            p->seconds = out.metrics.seconds;
-            p->energyJ = out.metrics.energyJ;
+        [&](const PreparedCell<CpuConfigBundle> &cell) {
+            return runRecord(runCpuBundle(cell.bundle, cell.name,
+                                          cell.hash, app, opts.exp));
         });
 }
 
@@ -762,8 +711,7 @@ evaluateGpuDesigns(const std::vector<GpuHybridDesign> &designs,
         PreparedCell<GpuConfigBundle> cell;
         cell.name = designName(d);
         cell.hash = designHash(d);
-        cell.key = dseCacheKey(cell.hash, std::string("gpu:") +
-                               kernel.name, opts.exp);
+        cell.key = runKey(cell.hash, kernel.name, opts.exp);
         cell.bundle = std::move(bundle.value());
         cell.cores = cell.bundle.numCus;
         cells.push_back(std::move(cell));
@@ -771,12 +719,9 @@ evaluateGpuDesigns(const std::vector<GpuHybridDesign> &designs,
 
     return evaluateCells(
         cells, pool, cache, opts.store,
-        [&](const PreparedCell<GpuConfigBundle> &cell, DsePoint *p) {
-            const GpuOutcome out = runGpuBundle(cell.bundle,
-                                                cell.name, kernel,
-                                                opts.exp);
-            p->seconds = out.metrics.seconds;
-            p->energyJ = out.metrics.energyJ;
+        [&](const PreparedCell<GpuConfigBundle> &cell) {
+            return runRecord(runGpuBundle(cell.bundle, cell.name,
+                                          cell.hash, kernel, opts.exp));
         });
 }
 

@@ -12,10 +12,13 @@
  * canonical name and a stable 64-bit hash.
  *
  * Evaluation fans (design x workload) cells out over a common
- * ThreadPool with a thread-safe memoization cache keyed by (design
- * hash, workload, ExperimentOptions). Each cell writes only its own
- * pre-allocated result slot, so the output is bit-identical for any
- * job count. Search strategies: exhaustive enumeration (optionally
+ * ThreadPool with a thread-safe memoization cache keyed by the run key
+ * (design hash, workload, ExperimentOptions; core/experiment.hh). It
+ * is the key `run`, `gpu` and `sweep` store the same computation
+ * under, so the optional durable store behind the memo shares entries
+ * with them wherever a design is a Table IV configuration. Each cell
+ * writes only its own pre-allocated result slot, so the output is
+ * bit-identical for any job count. Search strategies: exhaustive enumeration (optionally
  * filtered by an area budget) and a greedy unit-flip hill-climb for
  * spaces too large to enumerate. Pareto fronts are extracted over
  * (time, energy, area); ED^2 is monotone in (time, energy), so the
@@ -172,10 +175,12 @@ struct DsePoint
 };
 
 /**
- * Thread-safe memoization cache for evaluated cells, keyed by
- * (design hash, workload name, ExperimentOptions). Shared across
- * search passes so a repeated run reports hits instead of
- * re-simulating.
+ * Thread-safe memoization cache for evaluated cells, keyed by the run
+ * key. Shared across search passes so a repeated run reports hits
+ * instead of re-simulating. It stays in front of the durable store:
+ * `dse --repeat`, the greedy climb and HetBench revisit designs in
+ * one process, and a memo hit is a map lookup where a store hit reads
+ * and verifies a file (and without a store there is no other memo).
  */
 class DseCache
 {
@@ -193,11 +198,6 @@ class DseCache
     uint64_t misses_ = 0;
 };
 
-/** Cache key of one (design, workload, options) cell. */
-std::string dseCacheKey(uint64_t design_hash,
-                        const std::string &workload,
-                        const ExperimentOptions &opts);
-
 /** Exploration knobs shared by both search strategies. */
 struct DseOptions
 {
@@ -207,9 +207,10 @@ struct DseOptions
     DseObjective objective = DseObjective::Ed2;
     /** Durable second cache tier behind the in-memory memo
      *  (optional, not owned): memo misses consult the store before
-     *  simulating, and fresh simulations are journaled back, so a
-     *  repeated exploration in a *new process* is warm. Verified,
-     *  checksummed reads only — see core/result_store. */
+     *  simulating, and fresh records are journaled back, so a
+     *  repeated exploration in a *new process* is warm, and a record
+     *  `run`, `gpu` or `sweep` stored for a Table IV design serves
+     *  it. Verified, checksummed reads only — see core/result_store. */
     ResultStore *store = nullptr;
 };
 

@@ -1,11 +1,12 @@
 #include "core/experiment.hh"
 
-#include <cstring>
+#include <cstdio>
 #include <memory>
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
 #include "core/checkpoint.hh"
+#include "core/dse.hh"
 #include "cpu/multicore.hh"
 #include "gpu/gpu.hh"
 #include "workload/cpu_trace_gen.hh"
@@ -123,36 +124,30 @@ fillGpuReport(obs::RunReport &rep, gpu::Gpu &g,
     rep.groups.push_back(obs::snapshotGroup(mem.dram().stats()));
 }
 
-/** Exact (bit-level) double rendering for identity keys, independent
- *  of locale and formatting width. */
-std::string
-keyBits(double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return std::to_string(bits);
-}
+/** Name of the one section a run record is encoded as. */
+constexpr const char *kRunRecordSection = "run-record";
 
-/** Run-identity key for checkpoint fencing: every option that changes
- *  the simulated machine or workload participates, so a checkpoint is
- *  only ever restored into the exact invocation that wrote it. The
- *  cadence is included because only a matching cadence preserves the
- *  restore-equals-uninterrupted guarantee. */
-std::string
-checkpointKeyFor(const char *kind, const std::string &config,
-                 const std::string &workload,
-                 const ExperimentOptions &opts)
+/** The record of a finished, timed-out or preempted run; a preempted
+ *  run keeps only its cycle count. */
+template <typename Outcome>
+RunRecord
+recordOf(const Outcome &out, uint64_t ops)
 {
-    if (!opts.checkpointKey.empty())
-        return opts.checkpointKey;
-    return std::string(kind) + "|" + config + "|" + workload +
-           "|seed=" + std::to_string(opts.seed) +
-           "|scale=" + keyBits(opts.scale) +
-           "|freq=" + keyBits(opts.freqGhz) +
-           "|cores=" + std::to_string(opts.coresOverride) +
-           "|wd=" + std::to_string(opts.watchdogCycles) +
-           "|skip=" + (opts.noSkip ? "0" : "1") +
-           "|every=" + std::to_string(opts.checkpointEveryCycles);
+    RunRecord rec;
+    rec.cycles = out.cycles;
+    if (out.preempted) {
+        rec.status = Status::error(ErrorCode::Preempted,
+                                   "preempted at a mid-run checkpoint");
+        return rec;
+    }
+    if (out.timedOut)
+        rec.status = Status::error(
+            ErrorCode::Timeout, "cycle watchdog fired at %llu cycles",
+            static_cast<unsigned long long>(out.cycles));
+    rec.ops = ops;
+    rec.seconds = out.metrics.seconds;
+    rec.energyJ = out.metrics.energyJ;
+    return rec;
 }
 
 /** Build the save/preempt hook for a checkpointed run. */
@@ -175,18 +170,101 @@ makeHook(const ExperimentOptions &opts, const std::string &key)
 
 } // namespace
 
+std::string
+runKey(uint64_t design_hash, const std::string &workload,
+       const ExperimentOptions &opts)
+{
+    // Every field is named here, so a new one fails to compile until
+    // it is keyed or ignored below.
+    const auto &[seed, scale, freq_ghz, guardband, cores, watchdog,
+                 no_skip, checkpoint_path, checkpoint_every, preempt] =
+        opts;
+    // Where a run checkpoints and who may preempt it do not change
+    // its result. The cadence does: a drain pauses fetch.
+    (void)checkpoint_path;
+    (void)preempt;
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "run-v1|%016llx|seed=%llu|scale=%a|freq=%a|guard=%d|"
+                  "cores=%u|wd=%llu|skip=%d|every=%llu|",
+                  static_cast<unsigned long long>(design_hash),
+                  static_cast<unsigned long long>(seed), scale, freq_ghz,
+                  guardband ? 1 : 0, cores,
+                  static_cast<unsigned long long>(watchdog),
+                  no_skip ? 0 : 1,
+                  static_cast<unsigned long long>(checkpoint_every));
+    return buf + workload;
+}
+
+RunRecord
+runRecord(const CpuOutcome &out)
+{
+    return recordOf(out, out.committedOps);
+}
+
+RunRecord
+runRecord(const GpuOutcome &out)
+{
+    return recordOf(out, out.issuedOps);
+}
+
+std::string
+encodeRunRecord(const RunRecord &rec)
+{
+    Serializer ser;
+    ser.beginSection(kRunRecordSection);
+    ser.putU8(static_cast<uint8_t>(rec.status.code()));
+    ser.putString(rec.status.message());
+    ser.putU64(rec.cycles);
+    ser.putU64(rec.ops);
+    ser.putDouble(rec.seconds);
+    ser.putDouble(rec.energyJ);
+    ser.putString(rec.reportJson);
+    ser.endSection();
+    return ser.data();
+}
+
+Result<RunRecord>
+decodeRunRecord(std::string_view bytes)
+{
+    Deserializer des(bytes);
+    des.openSection(kRunRecordSection);
+    const uint8_t code = des.getU8();
+    const std::string message = des.getString();
+    RunRecord rec;
+    rec.cycles = des.getU64();
+    rec.ops = des.getU64();
+    rec.seconds = des.getDouble();
+    rec.energyJ = des.getDouble();
+    rec.reportJson = des.getString();
+    des.closeSection();
+    if (!des.atEnd())
+        des.fail("bytes after the run record");
+    // Preempted is the last ErrorCode.
+    if (code > static_cast<uint8_t>(ErrorCode::Preempted))
+        des.fail("run record error code out of range");
+    if (!des.ok())
+        return des.status();
+    if (code != static_cast<uint8_t>(ErrorCode::Ok))
+        rec.status = Status::error(static_cast<ErrorCode>(code), "%s",
+                                   message.c_str());
+    return rec;
+}
+
 CpuOutcome
 runCpuExperiment(CpuConfig cfg, const workload::AppProfile &app,
                  const ExperimentOptions &opts, obs::RunReport *report,
                  obs::TraceBuffer *trace)
 {
     return runCpuBundle(makeCpuConfig(cfg, opts.freqGhz),
-                        cpuConfigName(cfg), app, opts, report, trace);
+                        cpuConfigName(cfg),
+                        designHash(cpuHybridFromConfig(cfg)), app, opts,
+                        report, trace);
 }
 
 CpuOutcome
 runCpuBundle(const CpuConfigBundle &bundle_in,
-             const std::string &config_name,
+             const std::string &config_name, uint64_t design_hash,
              const workload::AppProfile &app,
              const ExperimentOptions &opts, obs::RunReport *report,
              obs::TraceBuffer *trace)
@@ -208,8 +286,7 @@ runCpuBundle(const CpuConfigBundle &bundle_in,
 
     auto mc = std::make_unique<cpu::Multicore>(bundle.sim, ptrs);
     if (!opts.checkpointPath.empty()) {
-        const std::string key =
-            checkpointKeyFor("cpu", config_name, app.name, opts);
+        const std::string key = runKey(design_hash, app.name, opts);
         auto loaded = loadCheckpoint(opts.checkpointPath, key);
         if (loaded.ok()) {
             Deserializer des(loaded->payload);
@@ -287,13 +364,14 @@ runGpuExperiment(GpuConfig cfg, const workload::KernelProfile &kernel,
     // The GPU design point is half the CPU frequency (1 GHz at the
     // paper's 2 GHz CPU point).
     return runGpuBundle(makeGpuConfig(cfg, opts.freqGhz / 2.0),
-                        gpuConfigName(cfg), kernel, opts, report,
-                        trace);
+                        gpuConfigName(cfg),
+                        designHash(gpuHybridFromConfig(cfg)), kernel,
+                        opts, report, trace);
 }
 
 GpuOutcome
 runGpuBundle(const GpuConfigBundle &bundle_in,
-             const std::string &config_name,
+             const std::string &config_name, uint64_t design_hash,
              const workload::KernelProfile &kernel,
              const ExperimentOptions &opts, obs::RunReport *report,
              obs::TraceBuffer *trace)
@@ -305,8 +383,7 @@ runGpuBundle(const GpuConfigBundle &bundle_in,
     workload::SyntheticKernel k(kernel, opts.seed, opts.scale);
     auto gpu = std::make_unique<gpu::Gpu>(bundle.sim);
     if (!opts.checkpointPath.empty()) {
-        const std::string key =
-            checkpointKeyFor("gpu", config_name, kernel.name, opts);
+        const std::string key = runKey(design_hash, kernel.name, opts);
         auto loaded = loadCheckpoint(opts.checkpointPath, key);
         if (loaded.ok()) {
             Deserializer des(loaded->payload);
@@ -345,19 +422,6 @@ runGpuBundle(const GpuConfigBundle &bundle_in,
     out.metrics.energyJ = out.energy.totalJ();
     if (report != nullptr)
         fillGpuReport(*report, *gpu, run.activity, out, opts);
-    return out;
-}
-
-std::vector<CpuOutcome>
-runCpuSuite(const std::vector<CpuConfig> &cfgs,
-            const std::vector<workload::AppProfile> &apps,
-            const ExperimentOptions &opts)
-{
-    std::vector<CpuOutcome> out;
-    out.reserve(cfgs.size() * apps.size());
-    for (CpuConfig cfg : cfgs)
-        for (const workload::AppProfile &app : apps)
-            out.push_back(runCpuExperiment(cfg, app, opts));
     return out;
 }
 

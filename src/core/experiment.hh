@@ -1,7 +1,13 @@
 /**
  * @file
  * Experiment runner: one (configuration, application) simulation plus
- * energy accounting, and suite helpers used by the bench harnesses.
+ * energy accounting, and the one name and one stored form of its
+ * result.
+ *
+ * A run is named by its run key (design hash, workload, options) and
+ * its result is stored as one RunRecord, so an entry that `run`,
+ * `gpu`, `sweep` or `dse` journals serves every other command that
+ * asks for the same computation; the key also fences checkpoints.
  */
 
 #ifndef HETSIM_CORE_EXPERIMENT_HH
@@ -9,9 +15,10 @@
 
 #include <csignal>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/report.hh"
+#include "common/status.hh"
 #include "common/trace.hh"
 #include "core/configs.hh"
 #include "core/dvfs.hh"
@@ -47,10 +54,6 @@ struct ExperimentOptions
      *  and removes the file on successful completion. @{ */
     std::string checkpointPath;
     uint64_t checkpointEveryCycles = 0;
-    /** Run-identity key stored in the checkpoint; empty derives one
-     *  from the config/workload/seed/scale/flags. A mismatched key is
-     *  refused at restore (never silently resumed). */
-    std::string checkpointKey;
     /** When non-null and the pointee becomes nonzero (e.g. a SIGTERM
      *  handler), the run drains, saves a checkpoint, and returns with
      *  `preempted` set instead of completing. */
@@ -110,11 +113,14 @@ GpuOutcome runGpuExperiment(GpuConfig cfg,
 /**
  * Simulate an already-built CPU bundle (the dse path: synthesized
  * free-form designs have no CpuConfig enum value). `config_name` is
- * carried into the outcome; opts.freqGhz must match the frequency the
- * bundle was built at (it selects the operating-point voltages).
+ * carried into the outcome and `design_hash`, the bundle's
+ * designHash(), into the checkpoint key; opts.freqGhz must match the
+ * frequency the bundle was built at (it selects the operating-point
+ * voltages).
  */
 CpuOutcome runCpuBundle(const CpuConfigBundle &bundle,
                         const std::string &config_name,
+                        uint64_t design_hash,
                         const workload::AppProfile &app,
                         const ExperimentOptions &opts = {},
                         obs::RunReport *report = nullptr,
@@ -123,19 +129,51 @@ CpuOutcome runCpuBundle(const CpuConfigBundle &bundle,
 /** Simulate an already-built GPU bundle. */
 GpuOutcome runGpuBundle(const GpuConfigBundle &bundle,
                         const std::string &config_name,
+                        uint64_t design_hash,
                         const workload::KernelProfile &kernel,
                         const ExperimentOptions &opts = {},
                         obs::RunReport *report = nullptr,
                         obs::TraceBuffer *trace = nullptr);
 
 /**
- * Run a config x app matrix. Results are indexed
- * [config_index * num_apps + app_index].
+ * The run key: the one name of the computation (machine, workload,
+ * options), shared by every command's store entries and used as the
+ * checkpoint identity. `design_hash` is the machine's designHash()
+ * (core/dse.hh); `workload` is the application or kernel name, or
+ * "trace:<path>" for a recorded trace. The key is text with a version
+ * prefix, every double is printed exactly (%a), and the workload comes
+ * last because a path may hold any byte. Every option is keyed except
+ * `checkpointPath` and `preempt`, which do not change the result.
  */
-std::vector<CpuOutcome>
-runCpuSuite(const std::vector<CpuConfig> &cfgs,
-            const std::vector<workload::AppProfile> &apps,
-            const ExperimentOptions &opts = {});
+std::string runKey(uint64_t design_hash, const std::string &workload,
+                   const ExperimentOptions &opts);
+
+/** The stored result of one run, whichever command ran it. */
+struct RunRecord
+{
+    /** Ok, Timeout (the cycle watchdog fired), Preempted (stopped at
+     *  a mid-run checkpoint: never stored), or why the run failed. */
+    Status status;
+    uint64_t cycles = 0;
+    uint64_t ops = 0; ///< Committed (CPU) or issued (GPU) ops.
+    double seconds = 0.0;
+    double energyJ = 0.0;
+    /** The RunReport document; `run` and `gpu` fill it, `sweep` and
+     *  `dse` leave it empty. */
+    std::string reportJson;
+};
+
+/** The record of a finished or preempted run (no report). */
+RunRecord runRecord(const CpuOutcome &out);
+RunRecord runRecord(const GpuOutcome &out);
+
+/** One common/serialize section holding the record. */
+std::string encodeRunRecord(const RunRecord &rec);
+
+/** Inverse of encodeRunRecord. Rejects a strict prefix, a changed
+ *  byte, trailing bytes and an unknown error code, so a buffer that
+ *  decodes holds the whole record. */
+Result<RunRecord> decodeRunRecord(std::string_view bytes);
 
 } // namespace hetsim::core
 

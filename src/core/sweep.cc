@@ -17,6 +17,7 @@
 #include "common/serialize.hh"
 #include "common/table.hh"
 #include "core/checkpoint.hh"
+#include "core/dse.hh"
 #include "cpu/multicore.hh"
 #include "workload/trace_file.hh"
 
@@ -34,88 +35,58 @@ monotonicMs()
     return ts.tv_sec * 1e3 + ts.tv_nsec / 1e6;
 }
 
-/** Fixed-size prefix of the result a child sends up its pipe; also
- *  the layout of a journaled cell payload in the ResultStore (the
- *  store's own header supplies versioning and checksums). */
-#pragma pack(push, 1)
-struct WireResult
+/** The sweep's options with the cell's scale and watchdog applied:
+ *  what the cell runs with and what its key names. */
+ExperimentOptions
+cellOptions(const SweepCell &cell, const SweepOptions &opts)
 {
-    uint8_t outcome;
-    uint8_t code;
-    uint64_t cycles;
-    uint64_t ops;
-    double seconds;
-    double energyJ;
-    uint32_t msgLen;
-};
-#pragma pack(pop)
-
-/** Cell payload, on the result pipe and in the journal alike:
- *  WireResult + the status message bytes. */
-std::string
-encodeCellPayload(const CellResult &res)
-{
-    WireResult wire;
-    wire.outcome = static_cast<uint8_t>(res.outcome);
-    wire.code = static_cast<uint8_t>(res.status.code());
-    wire.cycles = res.cycles;
-    wire.ops = res.ops;
-    wire.seconds = res.seconds;
-    wire.energyJ = res.energyJ;
-    const std::string &msg = res.status.message();
-    wire.msgLen = static_cast<uint32_t>(msg.size());
-    std::string payload(reinterpret_cast<const char *>(&wire),
-                        sizeof(wire));
-    payload += msg;
-    return payload;
+    ExperimentOptions exp = opts.exp;
+    if (cell.scaleOverride > 0.0)
+        exp.scale = cell.scaleOverride;
+    if (cell.watchdogCycles != ~0ull)
+        exp.watchdogCycles = cell.watchdogCycles;
+    return exp;
 }
 
-/** Inverse of encodeCellPayload; false on a malformed or short
- *  payload. A journal entry is then re-executed (a journal can only
- *  ever cost a rerun); a pipe payload means the child crashed. */
-bool
-decodeCellPayload(const std::string &payload, CellResult *res)
-{
-    WireResult wire;
-    if (payload.size() < sizeof(wire))
-        return false;
-    std::memcpy(&wire, payload.data(), sizeof(wire));
-    if (payload.size() != sizeof(wire) + wire.msgLen)
-        return false;
-    if (wire.outcome > static_cast<uint8_t>(CellOutcome::TimedOut))
-        return false;
-    res->outcome = static_cast<CellOutcome>(wire.outcome);
-    const auto code = static_cast<ErrorCode>(wire.code);
-    const std::string msg = payload.substr(sizeof(wire), wire.msgLen);
-    res->status = code == ErrorCode::Ok
-        ? Status()
-        : Status::error(code, "%s", msg.c_str());
-    res->cycles = wire.cycles;
-    res->ops = wire.ops;
-    res->seconds = wire.seconds;
-    res->energyJ = wire.energyJ;
-    // A preempted child saved a checkpoint and stopped: keep the
-    // never-journal / never-retry semantics across the pipe (and for
-    // a journal entry claiming preemption, should one ever appear).
-    if (code == ErrorCode::Preempted) {
-        res->transient = true;
-        res->preempted = true;
-    }
-    return true;
-}
-
-double
-effectiveScale(const SweepCell &cell, const SweepOptions &opts)
-{
-    return cell.scaleOverride > 0.0 ? cell.scaleOverride
-                                    : opts.exp.scale;
-}
-
+/** Design hash of the cell's Table IV configuration. The parent keys
+ *  every cell before it forks, so an out-of-range config hashes to 0
+ *  here instead of panicking: it fails alone, in its own child. */
 uint64_t
-effectiveWatchdog(const SweepCell &cell, const SweepOptions &opts)
+cellDesignHash(const SweepCell &cell)
 {
-    return cell.watchdogCycles != ~0ull ? cell.watchdogCycles
-                                        : opts.exp.watchdogCycles;
+    if (cell.kind == SweepCell::Kind::GpuKernel)
+        return static_cast<unsigned>(cell.gpuCfg) < kNumGpuConfigs
+            ? designHash(gpuHybridFromConfig(cell.gpuCfg)) : 0;
+    return static_cast<unsigned>(cell.cpuCfg) < kNumCpuConfigs
+        ? designHash(cpuHybridFromConfig(cell.cpuCfg)) : 0;
+}
+
+/** The record of a cell that stopped with `status` before it ran. */
+RunRecord
+recordOf(Status status)
+{
+    RunRecord rec;
+    rec.status = std::move(status);
+    return rec;
+}
+
+/** A cell's result from its run record: the outcome follows from the
+ *  status code, and a preempted cell is never journaled or retried. */
+CellResult
+cellResult(RunRecord rec)
+{
+    CellResult res;
+    const ErrorCode code = rec.status.code();
+    res.outcome = code == ErrorCode::Ok ? CellOutcome::Ok
+        : code == ErrorCode::Timeout    ? CellOutcome::TimedOut
+                                        : CellOutcome::Failed;
+    res.preempted = res.transient = code == ErrorCode::Preempted;
+    res.status = std::move(rec.status);
+    res.cycles = rec.cycles;
+    res.ops = rec.ops;
+    res.seconds = rec.seconds;
+    res.energyJ = rec.energyJ;
+    return res;
 }
 
 /** Mid-run checkpoint file of one cell, named by the FNV-64 of its
@@ -130,76 +101,36 @@ cellCheckpointPath(const std::string &cell_key,
     return opts.checkpointDir + "/cell-" + hex + kCheckpointSuffix;
 }
 
-/** Mark a result as preempted-at-checkpoint: never journaled, never
- *  retried; a resumed sweep re-executes (and mid-run-restores) it. */
-void
-markPreempted(CellResult *res, const char *what)
-{
-    res->outcome = CellOutcome::Failed;
-    res->status = Status::error(ErrorCode::Preempted, "%s", what);
-    res->transient = true;
-    res->preempted = true;
-}
-
 /** Execute one cell in this process. Input errors come back as a
- *  Failed result; internal invariants still panic (isolation turns
+ *  failed record; internal invariants still panic (isolation turns
  *  that into a contained child death). */
-CellResult
+RunRecord
 runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
 {
-    CellResult res;
-    ExperimentOptions exp = opts.exp;
-    exp.scale = effectiveScale(cell, opts);
-    exp.watchdogCycles = effectiveWatchdog(cell, opts);
+    ExperimentOptions exp = cellOptions(cell, opts);
     // Per-cell mid-run checkpoints (synthetic cells only: a trace
     // cell's progress is its file cursor, which the journal already
     // covers at cell granularity).
     if (!opts.checkpointDir.empty() &&
-        cell.kind != SweepCell::Kind::CpuTrace) {
-        // The cell key already fences the cadence, so it doubles as
-        // the checkpoint identity key.
-        const std::string key = cellStoreKey(cell, opts);
-        exp.checkpointPath = cellCheckpointPath(key, opts);
-        exp.checkpointKey = key;
-    }
+        cell.kind != SweepCell::Kind::CpuTrace)
+        exp.checkpointPath =
+            cellCheckpointPath(cellStoreKey(cell, opts), opts);
 
     switch (cell.kind) {
       case SweepCell::Kind::CpuApp:
       {
         const auto app = workload::findCpuApp(cell.workload);
-        if (!app.ok()) {
-            res.status = app.status();
-            return res;
-        }
-        const CpuOutcome out =
-            runCpuExperiment(cell.cpuCfg, *app.value(), exp);
-        if (out.preempted) {
-            markPreempted(&res,
-                          "preempted at a mid-run checkpoint");
-            res.cycles = out.cycles;
-            return res;
-        }
-        res.outcome = out.timedOut ? CellOutcome::TimedOut
-                                   : CellOutcome::Ok;
-        if (out.timedOut)
-            res.status = Status::error(
-                ErrorCode::Timeout,
-                "cycle watchdog fired at %llu cycles",
-                static_cast<unsigned long long>(out.cycles));
-        res.cycles = out.cycles;
-        res.ops = out.committedOps;
-        res.seconds = out.metrics.seconds;
-        res.energyJ = out.metrics.energyJ;
-        return res;
+        if (!app.ok())
+            return recordOf(app.status());
+        return runRecord(
+            runCpuExperiment(cell.cpuCfg, *app.value(), exp));
       }
 
       case SweepCell::Kind::CpuTrace:
       {
         auto trace = workload::FileTrace::open(cell.workload);
-        if (!trace.ok()) {
-            res.status = trace.status();
-            return res;
-        }
+        if (!trace.ok())
+            return recordOf(trace.status());
         CpuConfigBundle bundle =
             makeCpuConfig(cell.cpuCfg, exp.freqGhz);
         cpu::MulticoreParams sim = bundle.sim;
@@ -207,56 +138,28 @@ runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
         sim.watchdogCycles = exp.watchdogCycles;
         cpu::Multicore mc(sim, {trace.value().get()});
         const cpu::MulticoreResult run = mc.run();
-        if (!trace.value()->status().ok()) {
-            res.status = trace.value()->status();
-            return res;
-        }
-        res.outcome = run.timedOut ? CellOutcome::TimedOut
-                                   : CellOutcome::Ok;
-        if (run.timedOut)
-            res.status = Status::error(
-                ErrorCode::Timeout,
-                "cycle watchdog fired at %llu cycles",
-                static_cast<unsigned long long>(run.cycles));
-        res.cycles = run.cycles;
-        res.ops = run.committedOps;
-        res.seconds = run.seconds;
-        return res;
+        if (!trace.value()->status().ok())
+            return recordOf(trace.value()->status());
+        CpuOutcome out;
+        out.cycles = run.cycles;
+        out.committedOps = run.committedOps;
+        out.timedOut = run.timedOut;
+        out.metrics.seconds = run.seconds;
+        return runRecord(out);
       }
 
       case SweepCell::Kind::GpuKernel:
       {
         const auto kernel = workload::findGpuKernel(cell.workload);
-        if (!kernel.ok()) {
-            res.status = kernel.status();
-            return res;
-        }
-        const GpuOutcome out =
-            runGpuExperiment(cell.gpuCfg, *kernel.value(), exp);
-        if (out.preempted) {
-            markPreempted(&res,
-                          "preempted at a mid-run checkpoint");
-            res.cycles = out.cycles;
-            return res;
-        }
-        res.outcome = out.timedOut ? CellOutcome::TimedOut
-                                   : CellOutcome::Ok;
-        if (out.timedOut)
-            res.status = Status::error(
-                ErrorCode::Timeout,
-                "cycle watchdog fired at %llu cycles",
-                static_cast<unsigned long long>(out.cycles));
-        res.cycles = out.cycles;
-        res.ops = out.issuedOps;
-        res.seconds = out.metrics.seconds;
-        res.energyJ = out.metrics.energyJ;
-        return res;
+        if (!kernel.ok())
+            return recordOf(kernel.status());
+        return runRecord(
+            runGpuExperiment(cell.gpuCfg, *kernel.value(), exp));
       }
     }
-    res.status = Status::error(ErrorCode::Internal,
-                               "unhandled cell kind %d",
-                               static_cast<int>(cell.kind));
-    return res;
+    return recordOf(Status::error(ErrorCode::Internal,
+                                  "unhandled cell kind %d",
+                                  static_cast<int>(cell.kind)));
 }
 
 /** Child side: run the cell and ship its encoded result up the pipe.
@@ -266,7 +169,7 @@ runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
 childRunCell(int fd, const SweepCell &cell, const SweepOptions &opts)
 {
     const std::string payload =
-        encodeCellPayload(runCellInProcess(cell, opts));
+        encodeRunRecord(runCellInProcess(cell, opts));
     (void)writeAllFd(fd, payload.data(), payload.size(),
                      "sweep result pipe");
     // _exit keeps the child from re-running parent atexit hooks.
@@ -293,7 +196,7 @@ CellResult
 runCellInline(const SweepCell &cell, const SweepOptions &opts)
 {
     const double start = monotonicMs();
-    CellResult res = runCellInProcess(cell, opts);
+    CellResult res = cellResult(runCellInProcess(cell, opts));
     const double elapsed = monotonicMs() - start;
     if (opts.wallLimitMs > 0.0 && elapsed > opts.wallLimitMs &&
         res.outcome == CellOutcome::Ok) {
@@ -413,8 +316,9 @@ runScheduler(const std::vector<SweepCell> &cells,
         // crash or wall-clock kill would freeze a nondeterministic
         // failure into every future resume.
         if (opts.store != nullptr && !r.transient && !r.fromStore) {
-            const Status put =
-                opts.store->put(keys[i], encodeCellPayload(r));
+            const Status put = opts.store->put(
+                keys[i], encodeRunRecord({r.status, r.cycles, r.ops,
+                                          r.seconds, r.energyJ, ""}));
             if (!put.ok())
                 warn("sweep journal write failed: %s",
                      put.toString().c_str());
@@ -452,7 +356,10 @@ runScheduler(const std::vector<SweepCell> &cells,
                 "wall-clock watchdog fired after %.0f ms",
                 opts.wallLimitMs);
             r.transient = true; // Host-load dependent: retryable.
-        } else if (!decodeCellPayload(t.buf, &r)) {
+        } else if (Result<RunRecord> rec = decodeRunRecord(t.buf);
+                   rec.ok()) {
+            r = cellResult(std::move(rec).value());
+        } else {
             // Died before delivering a result: crash, contained.
             r.outcome = CellOutcome::Failed;
             r.status = Status::error(
@@ -482,8 +389,9 @@ runScheduler(const std::vector<SweepCell> &cells,
                     // A cell waiting out a backoff keeps its last
                     // transient failure.
                     if (t.attempt == 0)
-                        markPreempted(&t.res, "sweep preempted "
-                                              "before this cell ran");
+                        t.res = cellResult(recordOf(Status::error(
+                            ErrorCode::Preempted,
+                            "sweep preempted before this cell ran")));
                     t.phase = Phase::Done;
                     ++done;
                 }
@@ -507,9 +415,12 @@ runScheduler(const std::vector<SweepCell> &cells,
                 if (opts.store != nullptr && opts.resume) {
                     const Result<std::string> hit =
                         opts.store->get(keys[i]);
-                    CellResult replay;
-                    if (hit.ok() &&
-                        decodeCellPayload(hit.value(), &replay)) {
+                    Result<RunRecord> rec = hit.ok()
+                        ? decodeRunRecord(hit.value())
+                        : Result<RunRecord>(hit.status());
+                    if (rec.ok()) {
+                        CellResult replay =
+                            cellResult(std::move(rec).value());
                         replay.fromStore = true;
                         ++t.attempt;
                         settle(i, std::move(replay));
@@ -535,7 +446,7 @@ runScheduler(const std::vector<SweepCell> &cells,
                 }
                 warn("fork() failed (%s); running cell in-process",
                      std::strerror(errno));
-                settle(i, runCellInProcess(cells[i], opts));
+                settle(i, cellResult(runCellInProcess(cells[i], opts)));
                 continue;
             }
             if (pid == 0) {
@@ -607,10 +518,9 @@ runScheduler(const std::vector<SweepCell> &cells,
                 r == 0 || (r < 0 && errno != EINTR && errno != EAGAIN);
             if (r > 0)
                 t.buf.append(chunk, static_cast<size_t>(r));
-            // Settle once the whole payload is in, without waiting for
+            // Settle once the whole record is in, without waiting for
             // the pipe to close: waitpid() then waits only for the exit.
-            CellResult delivered;
-            if (eof || decodeCellPayload(t.buf, &delivered))
+            if (eof || decodeRunRecord(t.buf).ok())
                 finishRunning(pfd_task[k], false);
         }
         // Kill every child past its wall-clock deadline.
@@ -796,34 +706,11 @@ SweepReport::preempted() const
 std::string
 cellStoreKey(const SweepCell &cell, const SweepOptions &opts)
 {
-    const char *kind = "app";
-    switch (cell.kind) {
-      case SweepCell::Kind::CpuTrace:
-        kind = "trace";
-        break;
-      case SweepCell::Kind::GpuKernel:
-        kind = "kernel";
-        break;
-      default:
-        break;
-    }
-    // The checkpoint cadence participates: a drain pauses fetch for
-    // some cycles, so runs with different cadences report different
-    // (equally valid) cycle counts and must not share journal bytes.
-    char buf[144];
-    std::snprintf(buf, sizeof(buf),
-                  "|x%.9g|w%llu|s%llu|f%.9g|g%d|c%u|k%d|e%llu",
-                  effectiveScale(cell, opts),
-                  static_cast<unsigned long long>(
-                      effectiveWatchdog(cell, opts)),
-                  static_cast<unsigned long long>(opts.exp.seed),
-                  opts.exp.freqGhz,
-                  opts.exp.variationGuardband ? 1 : 0,
-                  opts.exp.coresOverride, opts.exp.noSkip ? 1 : 0,
-                  static_cast<unsigned long long>(
-                      opts.exp.checkpointEveryCycles));
-    return std::string("sweep-cell-v1|") + kind + "|" +
-        cellConfigName(cell) + "|" + cell.workload + buf;
+    return runKey(cellDesignHash(cell),
+                  cell.kind == SweepCell::Kind::CpuTrace
+                      ? "trace:" + cell.workload
+                      : cell.workload,
+                  cellOptions(cell, opts));
 }
 
 std::string

@@ -9,9 +9,8 @@
  * internal panic, or even a SIGSEGV in one cell is recorded as that
  * cell's failure while the rest of the sweep proceeds. One scheduler
  * runs every sweep: it keeps up to `jobs` cells in flight (`jobs = 1`
- * means one) and reads each child's result back in the same payload
- * format the durable journal stores. Two watchdogs bound runaway
- * cells:
+ * means one) and reads each child's result back as the RunRecord the
+ * durable journal stores. Two watchdogs bound runaway cells:
  *
  *  - a *cycle* watchdog (in-simulator, deterministic): the cell stops
  *    at N simulated cycles and reports TimedOut;
@@ -205,14 +204,16 @@ struct SweepReport
 };
 
 /**
- * Durable-journal key of one cell under the given options: cell
- * identity (kind, config, workload, effective scale and watchdog)
- * plus every ExperimentOptions field that feeds the result. Two
- * identical cells share a key — and, the workloads being
- * deterministic, identical journaled bytes. Trace cells are keyed by
- * path: re-recording a trace in place without clearing the store is
- * the caller's responsibility (the trace *format* is fenced by the
- * store's trace-version field).
+ * The run key (core/experiment.hh) of one cell: its configuration's
+ * design hash, its workload ("trace:<path>" for a trace cell) and the
+ * sweep's options with the cell's scale and watchdog applied. It names
+ * the cell's journal entry and fences its mid-run checkpoint, and it
+ * is the key `run`, `gpu` and `dse` use for the same computation, so
+ * their entries serve the cell and its entry serves them. Execution
+ * strategy (isolation, retries) is not part of it. Trace cells are
+ * keyed by path: re-recording a trace in place without clearing the
+ * store is the caller's responsibility (the trace *format* is fenced
+ * by the store's trace-version field).
  */
 std::string cellStoreKey(const SweepCell &cell,
                          const SweepOptions &opts);

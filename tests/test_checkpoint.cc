@@ -25,6 +25,7 @@
 #include <tuple>
 
 #include "core/checkpoint.hh"
+#include "core/dse.hh"
 #include "core/experiment.hh"
 #include "core/result_store.hh"
 #include "workload/cpu_profiles.hh"
@@ -645,7 +646,9 @@ TEST_F(CheckpointExperimentTest, InconsistentDirectoryColdStarts)
     ExperimentOptions opts = baseOpts();
     opts.scale = 0.05;
     opts.coresOverride = 4;
-    opts.checkpointKey = "cpu|BaseHet|lock_heavy|bad-directory";
+    const std::string key = runKey(
+        designHash(cpuHybridFromConfig(CpuConfig::BaseHet)), app.name,
+        opts);
 
     ExperimentOptions ref_opts = opts;
     ref_opts.checkpointPath = dir_ + "/ref" + kCheckpointSuffix;
@@ -667,7 +670,7 @@ TEST_F(CheckpointExperimentTest, InconsistentDirectoryColdStarts)
     ASSERT_GT(second.cycles, first.cycles);
 
     Result<LoadedCheckpoint> ckpt =
-        loadCheckpoint(path_, opts.checkpointKey);
+        loadCheckpoint(path_, key);
     ASSERT_TRUE(ckpt.ok()) << ckpt.status().toString();
     std::string payload = ckpt->payload;
     ASSERT_TRUE(test::rewriteSection(
@@ -675,9 +678,7 @@ TEST_F(CheckpointExperimentTest, InconsistentDirectoryColdStarts)
             ASSERT_GT(test::readLe(dir, 0, 8), 0u);
             test::setDirEntry(dir, 0, 1u << 4, 4); // core 4 of 0..3
         }));
-    ASSERT_TRUE(saveCheckpoint(path_, opts.checkpointKey, ckpt->cycle,
-                               payload)
-                    .ok());
+    ASSERT_TRUE(saveCheckpoint(path_, key, ckpt->cycle, payload).ok());
     ::unlink((path_ + kCheckpointPrevSuffix).c_str());
 
     g_test_preempt = 1;
@@ -702,7 +703,9 @@ TEST_F(CheckpointExperimentTest, CorruptStagedMicroOpColdStarts)
 {
     const auto &app = workload::cpuApp("fft");
     ExperimentOptions opts = baseOpts();
-    opts.checkpointKey = "cpu|BaseHet|fft|bad-micro-op";
+    const std::string key = runKey(
+        designHash(cpuHybridFromConfig(CpuConfig::BaseHet)), app.name,
+        opts);
 
     ExperimentOptions ref_opts = opts;
     ref_opts.checkpointPath = dir_ + "/ref" + kCheckpointSuffix;
@@ -719,7 +722,7 @@ TEST_F(CheckpointExperimentTest, CorruptStagedMicroOpColdStarts)
     ASSERT_TRUE(cut.preempted);
 
     Result<LoadedCheckpoint> ckpt =
-        loadCheckpoint(path_, opts.checkpointKey);
+        loadCheckpoint(path_, key);
     ASSERT_TRUE(ckpt.ok()) << ckpt.status().toString();
     std::string payload = ckpt->payload;
     ASSERT_TRUE(test::rewriteSection(
@@ -734,9 +737,7 @@ TEST_F(CheckpointExperimentTest, CorruptStagedMicroOpColdStarts)
             test::writeLe(core, staged + 1, 2, 20000); // src1
             test::writeLe(core, staged + 5, 2, 20000); // dst
         }));
-    ASSERT_TRUE(saveCheckpoint(path_, opts.checkpointKey, ckpt->cycle,
-                               payload)
-                    .ok());
+    ASSERT_TRUE(saveCheckpoint(path_, key, ckpt->cycle, payload).ok());
     ::unlink((path_ + kCheckpointPrevSuffix).c_str());
 
     g_test_preempt = 1;

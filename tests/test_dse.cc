@@ -2,13 +2,19 @@
  * @file
  * Unit tests for the design-space exploration subsystem: hybrid-design
  * naming/hashing, Table IV equivalence of synthesized bundles,
- * config-name round trips, enumeration, memoized thread-pool
- * evaluation (bit-identical across job counts), greedy search, and
- * Pareto-front extraction.
+ * config-name round trips, enumeration, the run key and the run-record
+ * codec, memoized thread-pool evaluation (bit-identical across job
+ * counts) and its durable store tier, greedy search, and Pareto-front
+ * extraction.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
+#include <cmath>
+#include <csignal>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,7 +22,9 @@
 #include "common/thread_pool.hh"
 #include "core/configs.hh"
 #include "core/dse.hh"
+#include "core/result_store.hh"
 #include "workload/cpu_profiles.hh"
+#include "workload/fault_inject.hh"
 #include "workload/gpu_profiles.hh"
 
 using namespace hetsim;
@@ -302,14 +310,81 @@ TEST(Enumeration, GpuSpaceHas17Points)
         EXPECT_TRUE(synthesizeGpuBundle(d).ok()) << designName(d);
 }
 
-TEST(DseCacheKey, DistinguishesOptionsAndWorkload)
+TEST(RunKey, KeysEveryResultInputExactly)
 {
-    ExperimentOptions a, b;
-    b.scale = 0.5;
-    EXPECT_NE(dseCacheKey(1, "cpu:fft", a), dseCacheKey(1, "cpu:fft", b));
-    EXPECT_NE(dseCacheKey(1, "cpu:fft", a), dseCacheKey(2, "cpu:fft", a));
-    EXPECT_NE(dseCacheKey(1, "cpu:fft", a), dseCacheKey(1, "cpu:fmm", a));
-    EXPECT_EQ(dseCacheKey(1, "cpu:fft", a), dseCacheKey(1, "cpu:fft", a));
+    const ExperimentOptions base;
+    const std::string key = runKey(1, "fft", base);
+    EXPECT_EQ(runKey(1, "fft", base), key);
+
+    // One input changed at a time: each names a new computation.
+    std::vector<std::string> keys = {key, runKey(2, "fft", base),
+                                     runKey(1, "fmm", base)};
+    const auto with = [&](void (*change)(ExperimentOptions &)) {
+        ExperimentOptions o = base;
+        change(o);
+        keys.push_back(runKey(1, "fft", o));
+    };
+    with([](ExperimentOptions &o) { o.seed = 2; });
+    with([](ExperimentOptions &o) { o.scale = 0.5; });
+    with([](ExperimentOptions &o) { o.scale = std::nextafter(1.0, 2.0); });
+    with([](ExperimentOptions &o) { o.freqGhz = 2.0000000001; });
+    with([](ExperimentOptions &o) { o.freqGhz = std::nextafter(2.0, 3.0); });
+    with([](ExperimentOptions &o) { o.variationGuardband = true; });
+    with([](ExperimentOptions &o) { o.coresOverride = 2; });
+    with([](ExperimentOptions &o) { o.watchdogCycles = 1000; });
+    with([](ExperimentOptions &o) { o.noSkip = true; });
+    with([](ExperimentOptions &o) { o.checkpointEveryCycles = 2000; });
+    EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
+              keys.size());
+
+    // Where a run checkpoints and who may preempt it are not keyed.
+    static volatile sig_atomic_t flag = 0;
+    ExperimentOptions placed = base;
+    placed.checkpointPath = "elsewhere.hckp";
+    placed.preempt = &flag;
+    EXPECT_EQ(runKey(1, "fft", placed), key);
+}
+
+TEST(RunRecord, DecodingRejectsEveryDamagedEncoding)
+{
+    RunRecord rec;
+    rec.status = Status::error(ErrorCode::Timeout,
+                               "cycle watchdog fired at 5000 cycles");
+    rec.cycles = 5000;
+    rec.ops = 1234;
+    rec.seconds = 2.5e-6;
+    rec.energyJ = 1.0 / 3.0;
+    rec.reportJson = "{\"cycles\": 5000}\n";
+    const std::string bytes = encodeRunRecord(rec);
+
+    const Result<RunRecord> back = decodeRunRecord(bytes);
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    EXPECT_EQ(back->status.code(), ErrorCode::Timeout);
+    EXPECT_EQ(back->status.message(), rec.status.message());
+    EXPECT_EQ(back->cycles, rec.cycles);
+    EXPECT_EQ(back->ops, rec.ops);
+    EXPECT_EQ(back->seconds, rec.seconds);
+    EXPECT_EQ(back->energyJ, rec.energyJ);
+    EXPECT_EQ(back->reportJson, rec.reportJson);
+
+    // The sweep settles a child as soon as its buffer decodes, so no
+    // strict prefix may decode.
+    for (size_t n = 0; n < bytes.size(); ++n)
+        EXPECT_FALSE(decodeRunRecord(bytes.substr(0, n)).ok())
+            << "prefix of " << n << " bytes";
+    for (size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+        std::string flipped = bytes;
+        flipped[bit / 8] =
+            static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+        EXPECT_FALSE(decodeRunRecord(flipped).ok()) << "bit " << bit;
+    }
+    EXPECT_FALSE(decodeRunRecord(bytes + '\0').ok());
+
+    RunRecord unknown = rec;
+    unknown.status = Status::error(
+        static_cast<ErrorCode>(static_cast<int>(ErrorCode::Preempted) + 1),
+        "no such code");
+    EXPECT_FALSE(decodeRunRecord(encodeRunRecord(unknown)).ok());
 }
 
 TEST(Evaluate, ResultsAreBitIdenticalAcrossJobCounts)
@@ -382,6 +457,99 @@ TEST(Evaluate, SecondPassIsServedFromTheCache)
     other.exp.seed = 99;
     evaluateCpuDesigns(designs, *app.value(), other, pool, cache);
     EXPECT_EQ(cache.misses(), 2 * designs.size());
+}
+
+namespace
+{
+
+/** The workload scale of the store tests. */
+constexpr double kStoreScale = 0.01;
+
+/** A new directory under the test temp dir, removed with its contents
+ *  when the test ends. */
+class StoreDir
+{
+  public:
+    StoreDir() : path_(testing::TempDir() + "hetsim_dsestore_XXXXXX")
+    {
+        EXPECT_NE(::mkdtemp(path_.data()), nullptr);
+    }
+    ~StoreDir() { std::filesystem::remove_all(path_); }
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
+/** The first six CPU designs on lu, through `store` and a new cache. */
+std::vector<DsePoint>
+evaluateSix(ResultStore &store)
+{
+    auto designs = enumerateCpuDesigns();
+    designs.resize(6);
+    DseOptions opts;
+    opts.exp.scale = kStoreScale;
+    opts.store = &store;
+    ThreadPool pool(2);
+    DseCache cache;
+    return evaluateCpuDesigns(designs, *workload::findCpuApp("lu").value(),
+                              opts, pool, cache);
+}
+
+void
+expectSamePoints(const std::vector<DsePoint> &a,
+                 const std::vector<DsePoint> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].name, b[i].name);
+        EXPECT_EQ(a[i].seconds, b[i].seconds);
+        EXPECT_EQ(a[i].energyJ, b[i].energyJ);
+    }
+}
+
+} // namespace
+
+TEST(DseStore, WarmStoreServesEveryPointInANewCache)
+{
+    const StoreDir dir;
+    auto cold_store = ResultStore::open(dir.path());
+    ASSERT_TRUE(cold_store.ok());
+    const std::vector<DsePoint> cold = evaluateSix(cold_store.value());
+    EXPECT_EQ(cold_store->counters().puts, 6u);
+
+    auto store = ResultStore::open(dir.path());
+    ASSERT_TRUE(store.ok());
+    const std::vector<DsePoint> warm = evaluateSix(store.value());
+    EXPECT_EQ(store->counters().hits, 6u);
+    EXPECT_EQ(store->counters().puts, 0u);
+    expectSamePoints(cold, warm);
+}
+
+TEST(DseStore, CorruptEntryIsQuarantinedAndResimulated)
+{
+    const StoreDir dir;
+    auto cold_store = ResultStore::open(dir.path());
+    ASSERT_TRUE(cold_store.ok());
+    const std::vector<DsePoint> cold = evaluateSix(cold_store.value());
+    ASSERT_EQ(cold.size(), 6u);
+
+    ExperimentOptions exp;
+    exp.scale = kStoreScale;
+    const std::string victim =
+        cold_store->entryPath(runKey(cold[2].hash, "lu", exp));
+    const uint64_t size = workload::fileSize(victim).valueOr(0);
+    ASSERT_GT(size, 0u);
+    ASSERT_TRUE(workload::flipBitInFile(victim, size - 3, 2).ok());
+
+    auto store = ResultStore::open(dir.path());
+    ASSERT_TRUE(store.ok());
+    const std::vector<DsePoint> warm = evaluateSix(store.value());
+    EXPECT_EQ(store->counters().quarantined, 1u);
+    EXPECT_EQ(store->counters().hits, 5u);
+    EXPECT_EQ(store->counters().puts, 1u); // The damaged point, rerun.
+    expectSamePoints(cold, warm);
 }
 
 TEST(Evaluate, AreaBudgetFiltersDesigns)

@@ -206,19 +206,3 @@ TEST(Integration, GpuAdvHet2XFasterAndCheaper)
     EXPECT_LT(twox.metrics.seconds, base.metrics.seconds);
     EXPECT_LT(twox.metrics.energyJ, base.metrics.energyJ);
 }
-
-TEST(Integration, SuiteRunnerShapesMatch)
-{
-    // A tiny two-config suite sanity check of the bench plumbing.
-    std::vector<CpuConfig> cfgs = {CpuConfig::BaseCmos,
-                                   CpuConfig::BaseTfet};
-    std::vector<workload::AppProfile> apps = {
-        workload::cpuApp("water-sp"), workload::cpuApp("lu")};
-    ExperimentOptions opts = quickOpts();
-    const auto outcomes = runCpuSuite(cfgs, apps, opts);
-    ASSERT_EQ(outcomes.size(), 4u);
-    EXPECT_EQ(outcomes[0].config, "BaseCMOS");
-    EXPECT_EQ(outcomes[2].config, "BaseTFET");
-    EXPECT_EQ(outcomes[0].app, "water-sp");
-    EXPECT_EQ(outcomes[3].app, "lu");
-}

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dse.hh"
 #include "core/result_store.hh"
 #include "core/sweep.hh"
 #include "workload/cpu_profiles.hh"
@@ -363,6 +364,36 @@ TEST(SweepStoreKey, EncodesCellAndOptionIdentity)
     inlined.isolate = false;
     inlined.maxRetries = 3;
     EXPECT_EQ(cellStoreKey(a, opts), cellStoreKey(a, inlined));
+}
+
+TEST(SweepStoreKey, IsTheRunKeyOfTheSameComputation)
+{
+    SweepOptions opts;
+    opts.exp.seed = 3;
+    opts.exp.watchdogCycles = 500;
+    ExperimentOptions exp = opts.exp;
+    exp.scale = 0.5;
+    EXPECT_EQ(cellStoreKey(cpuAppCell(CpuConfig::AdvHet, "fft", 0.5), opts),
+              runKey(designHash(cpuHybridFromConfig(CpuConfig::AdvHet)),
+                     "fft", exp));
+    EXPECT_EQ(
+        cellStoreKey(gpuKernelCell(GpuConfig::AdvHet, "dct", 0.5), opts),
+        runKey(designHash(gpuHybridFromConfig(GpuConfig::AdvHet)), "dct",
+               exp));
+    SweepCell traced = cpuTraceCell(CpuConfig::BaseCmos, "x.trace");
+    traced.watchdogCycles = 7;
+    exp = opts.exp;
+    exp.watchdogCycles = 7;
+    EXPECT_EQ(cellStoreKey(traced, opts),
+              runKey(designHash(cpuHybridFromConfig(CpuConfig::BaseCmos)),
+                     "trace:x.trace", exp));
+
+    // The parent keys every cell before it forks: an out-of-range
+    // config must not panic there (ChildCrashIsContained runs one).
+    SweepCell bad = cpuAppCell(CpuConfig::BaseCmos, "fft");
+    bad.cpuCfg = static_cast<CpuConfig>(99);
+    EXPECT_NE(cellStoreKey(bad, opts),
+              cellStoreKey(cpuAppCell(CpuConfig::BaseCmos, "fft"), opts));
 }
 
 TEST(SweepStore, ResumeReplaysJournaledCellsByteIdentically)

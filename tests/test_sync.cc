@@ -632,8 +632,8 @@ TEST(ContentionEndToEnd, ScratchpadWorkloadReportsScratchpadTraffic)
 
     obs::RunReport spad_rep;
     const CpuOutcome spad_out = core::runCpuBundle(
-        *bundle, core::designName(d), workload::cpuApp("spad_stream"),
-        contentionOpts(), &spad_rep);
+        *bundle, core::designName(d), core::designHash(d),
+        workload::cpuApp("spad_stream"), contentionOpts(), &spad_rep);
     EXPECT_GT(spad_out.cycles, 0u);
     EXPECT_GT(counterValue(spad_rep, "scratchpad", "reads"), 0);
 
