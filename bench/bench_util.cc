@@ -1,5 +1,8 @@
 #include "bench/bench_util.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -14,17 +17,20 @@ parseOptions(int argc, char **argv, double default_scale)
 {
     core::ExperimentOptions opts;
     opts.scale = default_scale;
-    if (argc > 1)
-        opts.scale = std::atof(argv[1]);
-    if (opts.scale <= 0.0) {
+    if (argc < 2)
+        return opts;
+    const char *text = argv[1];
+    char *end = nullptr;
+    errno = 0;
+    opts.scale = std::strtod(text, &end);
+    if (std::isspace(static_cast<unsigned char>(text[0])) ||
+        end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(opts.scale) || opts.scale <= 0.0) {
         // Bench harnesses are front ends: they may exit directly.
-        std::fprintf(stderr, "error: scale must be positive, "
-                     "got '%s'\n", argv[1]);
+        std::fprintf(stderr, "error: scale must be a finite number > 0, "
+                     "got '%s'\n", text);
         std::exit(1);
     }
-    const char *env = std::getenv("HETSIM_BENCH_SCALE");
-    if (env && argc <= 1)
-        opts.scale = std::atof(env);
     return opts;
 }
 

@@ -26,7 +26,8 @@
 namespace hetsim::bench
 {
 
-/** Parse the common [scale] argument. */
+/** Parse the common [scale] argument: the whole of argv[1] must be a
+ *  finite number > 0, else the harness exits 1 with one error line. */
 core::ExperimentOptions parseOptions(int argc, char **argv,
                                      double default_scale = 1.0);
 

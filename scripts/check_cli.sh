@@ -1,5 +1,6 @@
 #!/bin/sh
-# Contracts of the hetsim_cli front end that no unit test links:
+# Contracts of the front ends (hetsim_cli and a bench harness) that no
+# unit test links:
 #   - run --store and gpu --store, run cold then warm: the warm run
 #     prints "store: verified hit", the same table and the cold run's
 #     --report-json bytes;
@@ -18,12 +19,17 @@
 #   - a checkpointed run SIGKILLed mid-run and rerun, and a sweep
 #     SIGTERMed mid-cell (exit 3) and resumed, each match their
 #     uninterrupted twin byte for byte;
-#   - store fsck flags an orphaned temp until store gc prunes it.
+#   - store fsck flags an orphaned temp until store gc prunes it;
+#   - a bench harness given a [scale] that is not, in whole, a finite
+#     number > 0 exits 1 with one error line and writes no CSV.
 #
-# Usage: scripts/check_cli.sh <path to hetsim_cli>
+# Usage: scripts/check_cli.sh <path to hetsim_cli> <path to a bench_fig*>
 set -u
-cli=${1:?usage: check_cli.sh <hetsim_cli>}
+usage="usage: check_cli.sh <hetsim_cli> <bench_fig*>"
+cli=${1:?$usage}
+bench=${2:?$usage}
 cli=$(cd "$(dirname "$cli")" && pwd)/$(basename "$cli")
+bench=$(cd "$(dirname "$bench")" && pwd)/$(basename "$bench")
 work=$(mktemp -d "${TMPDIR:-/tmp}/hetsim_cli_XXXXXX")
 trap 'rm -rf "$work"' EXIT
 # Anything a misparsed option writes lands in the scratch directory.
@@ -82,6 +88,20 @@ reject --timeout-ms sweep --workloads fft --timeout-ms nan
 # Needs another option.
 reject --checkpoint run --checkpoint-every 1000
 reject --store sweep --workloads fft --checkpoint-every 1000
+
+# A bench harness rejects a bad scale before it simulates anything.
+for scale in 0.001x -1 nan inf 1e999; do
+    mkdir "$work/bench_$scale"
+    (cd "$work/bench_$scale" && "$bench" "$scale") > /dev/null \
+        2> "$work/err"
+    rc=$?
+    [ "$rc" -eq 1 ] || fail "bench scale '$scale' exited $rc, not 1"
+    [ "$(grep -c . "$work/err")" -eq 1 ] &&
+        grep -q '^error: ' "$work/err" ||
+        fail "bench scale '$scale' did not print one error line"
+    ls "$work/bench_$scale" | grep -q '\.csv$' &&
+        fail "bench scale '$scale' wrote a CSV"
+done
 
 # Warm --store hits reproduce the cold run.
 for cmd in "run --config AdvHet --app fft --scale 0.05" \

@@ -19,16 +19,16 @@ ctest --test-dir build --output-on-failure
 # tests because the GPU run loop indexes per-CU wake cycles and each
 # CU keeps an occupied-slot count; the DSE tests because the DSE decodes
 # run records read back from the store, and that test feeds the record
-# decoder every prefix and bit flip of an encoding; hetsim_cli and
-# cli_contracts because that test feeds the option parser and the trace
-# decoder bad input and kills, preempts and resumes checkpointed runs
-# and sweeps.
+# decoder every prefix and bit flip of an encoding; hetsim_cli,
+# bench_fig10_gpu_time and cli_contracts because that test feeds the
+# option parser, the bench scale parser and the trace decoder bad input
+# and kills, preempts and resumes checkpointed runs and sweeps.
 cmake -B build-asan -G Ninja -DHETSIM_SANITIZE="address;undefined"
 cmake --build build-asan --target test_status test_trace_file \
       test_fault_inject test_sweep test_result_store test_checkpoint \
       test_cache test_branch_pred test_hierarchy test_sync \
       test_ooo_core test_multicore test_skip test_gpu test_wavefront \
-      test_rf_cache test_dse hetsim_cli
+      test_rf_cache test_dse hetsim_cli bench_fig10_gpu_time
 ctest --test-dir build-asan --output-on-failure \
       -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_checkpoint|test_cache|test_branch_pred|test_hierarchy|test_sync|test_ooo_core|test_multicore|test_skip|test_gpu|test_wavefront|test_rf_cache|test_dse|cli_contracts'
 

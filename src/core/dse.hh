@@ -2,14 +2,14 @@
  * @file
  * Design-space exploration over free-form hybrid device assignments.
  *
- * Table IV hand-picks ~15 configurations out of a combinatorial space
+ * Table IV hand-picks 16 configurations out of a combinatorial space
  * of per-unit CMOS/TFET choices. This subsystem asks the question the
  * paper could not afford to: which of the hundreds of free-form
- * hybrid assignments are actually Pareto-optimal? A HybridDesign
- * names a per-unit device choice (plus ROB / FP-RF sizing and the
- * AdvHet mechanisms) directly, synthesizes the same CpuConfigBundle /
- * GpuConfigBundle the Table IV factory builds, and carries a
- * canonical name and a stable 64-bit hash.
+ * hybrid assignments are actually Pareto-optimal? It searches the
+ * designs of core/configs (CpuHybridDesign / GpuHybridDesign), which
+ * the same synthesizer that builds every Table IV configuration turns
+ * into bundles, and which a canonical name and a stable 64-bit hash
+ * identify.
  *
  * Evaluation fans (design x workload) cells out over a common
  * ThreadPool with a thread-safe memoization cache keyed by the run key
@@ -18,11 +18,11 @@
  * under, so the optional durable store behind the memo shares entries
  * with them wherever a design is a Table IV configuration. Each cell
  * writes only its own pre-allocated result slot, so the output is
- * bit-identical for any job count. Search strategies: exhaustive enumeration (optionally
- * filtered by an area budget) and a greedy unit-flip hill-climb for
- * spaces too large to enumerate. Pareto fronts are extracted over
- * (time, energy, area); ED^2 is monotone in (time, energy), so the
- * front is also ED^2-complete.
+ * bit-identical for any job count. Search strategies: exhaustive
+ * enumeration (optionally filtered by an area budget) and a greedy
+ * unit-flip hill-climb for spaces too large to enumerate. Pareto
+ * fronts are extracted over (time, energy, area); ED^2 is monotone in
+ * (time, energy), so the front is also ED^2-complete.
  */
 
 #ifndef HETSIM_CORE_DSE_HH
@@ -43,109 +43,15 @@ namespace hetsim::core
 {
 
 /**
- * Free-form per-unit device assignment for a CPU core. Unlike the
- * CpuConfig enum this can express any point in the space; every
- * Table IV configuration is one particular setting (see
- * cpuHybridFromConfig), which tests pin field-by-field against
- * makeCpuConfig.
+ * Every valid CPU design: 3 ALU x 3 FPU x 2 DL1 x 2 L2 x 2 L3 devices
+ * x Enh x asym x split (TFET ALUs only) x scratchpad off / CMOS /
+ * TFET, plus the half-clock all-TFET chip (1153 designs).
+ * Deterministic order.
  */
-struct CpuHybridDesign
-{
-    /** ALUs + integer multiply/divide (Table III ties their device
-     *  choice together: they share the dual-V_dd ALU cluster rail). */
-    power::DeviceClass alu = power::DeviceClass::Cmos;
-    power::DeviceClass fpu = power::DeviceClass::Cmos;
-    power::DeviceClass dl1 = power::DeviceClass::Cmos;
-    power::DeviceClass l2 = power::DeviceClass::Cmos;
-    power::DeviceClass l3 = power::DeviceClass::Cmos;
+std::vector<CpuHybridDesign> enumerateCpuDesigns();
 
-    uint32_t robSize = 160; ///< 160 (base) or 192 (Enh).
-    uint32_t fpRf = 80;     ///< 80 (base) or 128 (Enh).
-
-    /** Optional per-core software-managed scratchpad: a 16 KB
-     *  direct-addressed array beside the DL1, bypassing the cache
-     *  hierarchy for in-window accesses. `spadDev` picks its device
-     *  (CMOS: 2-cycle access; TFET: 4-cycle, 4x/10x energy/leakage
-     *  advantage) and must stay Cmos while the scratchpad is off so
-     *  the canonical name stays unique. */
-    bool scratchpad = false;
-    power::DeviceClass spadDev = power::DeviceClass::Cmos;
-
-    /** AdvHet asymmetric DL1: way 0 becomes a CMOS fast array. */
-    bool asymDl1 = false;
-    /** AdvHet dual-speed ALU cluster (requires alu == Tfet). */
-    bool dualSpeedAlu = false;
-    /** All-TFET chip at half clock (BaseTFET style); exclusive with
-     *  any per-unit choice above. */
-    bool halfClock = false;
-
-    uint32_t numCores = 4;
-
-    bool operator==(const CpuHybridDesign &o) const = default;
-};
-
-/** Free-form device assignment for the GPU. */
-struct GpuHybridDesign
-{
-    power::DeviceClass simdFpu = power::DeviceClass::Cmos;
-    power::DeviceClass vectorRf = power::DeviceClass::Cmos;
-    bool rfCache = false; ///< AdvHet register-file cache.
-    /** All-TFET GPU at half clock; exclusive with per-unit choices. */
-    bool halfClock = false;
-    uint32_t numCus = 8;
-
-    bool operator==(const GpuHybridDesign &o) const = default;
-};
-
-/**
- * Canonical, stable display name, e.g.
- * "cpu(alu=T fpu=T dl1=T l2=T l3=T rob=192 fprf=128 asym split c4)".
- * Two designs are equal iff their names are equal.
- */
-std::string designName(const CpuHybridDesign &d);
-std::string designName(const GpuHybridDesign &d);
-
-/** Stable 64-bit FNV-1a hash of the canonical encoding (memo key). */
-uint64_t designHash(const CpuHybridDesign &d);
-uint64_t designHash(const GpuHybridDesign &d);
-
-/** The Table IV configuration as a free-form design. */
-CpuHybridDesign cpuHybridFromConfig(CpuConfig cfg);
-GpuHybridDesign gpuHybridFromConfig(GpuConfig cfg);
-
-/**
- * Synthesize the full simulation + energy-model bundle for a design.
- * InvalidArgument when the design is inexpressible: halfClock mixed
- * with per-unit choices, dualSpeedAlu without a TFET ALU cluster,
- * high-V_t arrays (Table I characterizes high-V_t for logic only), or
- * off-catalog ROB / FP-RF sizes.
- */
-Result<CpuConfigBundle> synthesizeCpuBundle(const CpuHybridDesign &d,
-                                            double freq_ghz = 2.0);
-Result<GpuConfigBundle> synthesizeGpuBundle(const GpuHybridDesign &d,
-                                            double freq_ghz = 1.0);
-
-/** Axes included in exhaustive CPU enumeration. */
-struct CpuSpaceOptions
-{
-    bool includeHighVt = true;   ///< HighVt choice for ALU/FPU.
-    bool includeEnh = true;      ///< ROB/FP-RF resizing axis.
-    bool includeAsymDl1 = true;
-    bool includeDualSpeed = true;
-    bool includeHalfClock = true; ///< The all-TFET corner design.
-    /** Scratchpad axis: off / CMOS / TFET per design. */
-    bool includeScratchpad = true;
-};
-
-/**
- * Every valid design over the requested axes (full default space:
- * 3 ALU x 3 FPU x 2 DL1 x 2 L2 x 2 L3 devices x Enh x asym x split
- * validity-filtered, a few hundred designs). Deterministic order.
- */
-std::vector<CpuHybridDesign>
-enumerateCpuDesigns(const CpuSpaceOptions &space = {});
-
-/** The 17-point GPU space (2 x 2 devices x RF cache, + half clock). */
+/** The 17-point GPU space (2 x 2 devices x RF cache x 8 or 16 CUs,
+ *  + half clock). */
 std::vector<GpuHybridDesign> enumerateGpuDesigns();
 
 /** What the search optimizes. */

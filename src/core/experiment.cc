@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "common/serialize.hh"
 #include "core/checkpoint.hh"
-#include "core/dse.hh"
 #include "cpu/multicore.hh"
 #include "gpu/gpu.hh"
 #include "workload/cpu_trace_gen.hh"

@@ -139,7 +139,7 @@ GpuOutcome runGpuBundle(const GpuConfigBundle &bundle,
  * The run key: the one name of the computation (machine, workload,
  * options), shared by every command's store entries and used as the
  * checkpoint identity. `design_hash` is the machine's designHash()
- * (core/dse.hh); `workload` is the application or kernel name, or
+ * (core/configs.hh); `workload` is the application or kernel name, or
  * "trace:<path>" for a recorded trace. The key is text with a version
  * prefix, every double is printed exactly (%a), and the workload comes
  * last because a path may hold any byte. Every option is keyed except

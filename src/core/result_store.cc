@@ -38,6 +38,31 @@ struct EntryHeader
 
 constexpr char kMagic[4] = {'H', 'R', 'S', '\n'};
 
+/** Why the raw bytes of an entry are not a healthy entry (get() and
+ *  fsckStore() quarantine it for this reason); nullptr when they are. */
+const char *
+entryProblem(const std::string &raw, uint32_t trace_version)
+{
+    EntryHeader hdr;
+    if (raw.size() < sizeof(hdr))
+        return "truncated header";
+    std::memcpy(&hdr, raw.data(), sizeof(hdr));
+    if (std::memcmp(hdr.magic, kMagic, sizeof(kMagic)) != 0)
+        return "bad magic";
+    if (hdr.schema != ResultStore::kSchemaVersion)
+        return "store schema version mismatch";
+    if (hdr.traceVersion != trace_version)
+        return "trace format version mismatch";
+    if (raw.size() != sizeof(hdr) + hdr.keyLen + hdr.payloadLen)
+        return "size mismatch";
+    if (fnv1a(raw.data() + sizeof(hdr), hdr.keyLen) != hdr.keyFnv)
+        return "key checksum mismatch";
+    if (fnv1a(raw.data() + sizeof(hdr) + hdr.keyLen,
+              hdr.payloadLen) != hdr.payloadFnv)
+        return "payload checksum mismatch";
+    return nullptr;
+}
+
 } // namespace
 
 Status
@@ -123,37 +148,14 @@ ResultStore::get(const std::string &key)
     }
     fd.reset();
 
-    EntryHeader hdr;
-    if (raw.size() < sizeof(hdr)) {
-        quarantine(path, "truncated header");
-        ++stats_->misses;
-        return Status::error(ErrorCode::NotFound,
-                             "store entry quarantined: "
-                             "truncated header");
-    }
-    std::memcpy(&hdr, raw.data(), sizeof(hdr));
-
-    const char *reason = nullptr;
-    if (std::memcmp(hdr.magic, kMagic, sizeof(kMagic)) != 0)
-        reason = "bad magic";
-    else if (hdr.schema != kSchemaVersion)
-        reason = "store schema version mismatch";
-    else if (hdr.traceVersion != traceVersion_)
-        reason = "trace format version mismatch";
-    else if (raw.size() !=
-             sizeof(hdr) + hdr.keyLen + hdr.payloadLen)
-        reason = "size mismatch";
-    else if (fnv1a(raw.data() + sizeof(hdr), hdr.keyLen) != hdr.keyFnv)
-        reason = "key checksum mismatch";
-    else if (fnv1a(raw.data() + sizeof(hdr) + hdr.keyLen,
-                   hdr.payloadLen) != hdr.payloadFnv)
-        reason = "payload checksum mismatch";
-    if (reason != nullptr) {
+    if (const char *reason = entryProblem(raw, traceVersion_)) {
         quarantine(path, reason);
         ++stats_->misses;
         return Status::error(ErrorCode::NotFound,
                              "store entry quarantined: %s", reason);
     }
+    EntryHeader hdr;
+    std::memcpy(&hdr, raw.data(), sizeof(hdr));
 
     // Verified but for a different key: an FNV filename collision.
     // Not corruption — the other key's entry is healthy — so it is a
@@ -226,31 +228,6 @@ endsWith(const std::string &name, const std::string &suffix)
     return name.size() >= suffix.size() &&
            name.compare(name.size() - suffix.size(), suffix.size(),
                         suffix) == 0;
-}
-
-/** The verification get() performs, over raw entry bytes. Returns
- *  nullptr when the entry is healthy. */
-const char *
-entryProblem(const std::string &raw, uint32_t trace_version)
-{
-    EntryHeader hdr;
-    if (raw.size() < sizeof(hdr))
-        return "truncated header";
-    std::memcpy(&hdr, raw.data(), sizeof(hdr));
-    if (std::memcmp(hdr.magic, kMagic, sizeof(kMagic)) != 0)
-        return "bad magic";
-    if (hdr.schema != ResultStore::kSchemaVersion)
-        return "store schema version mismatch";
-    if (hdr.traceVersion != trace_version)
-        return "trace format version mismatch";
-    if (raw.size() != sizeof(hdr) + hdr.keyLen + hdr.payloadLen)
-        return "size mismatch";
-    if (fnv1a(raw.data() + sizeof(hdr), hdr.keyLen) != hdr.keyFnv)
-        return "key checksum mismatch";
-    if (fnv1a(raw.data() + sizeof(hdr) + hdr.keyLen,
-              hdr.payloadLen) != hdr.payloadFnv)
-        return "payload checksum mismatch";
-    return nullptr;
 }
 
 } // namespace

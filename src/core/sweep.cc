@@ -17,7 +17,6 @@
 #include "common/serialize.hh"
 #include "common/table.hh"
 #include "core/checkpoint.hh"
-#include "core/dse.hh"
 #include "cpu/multicore.hh"
 #include "workload/trace_file.hh"
 

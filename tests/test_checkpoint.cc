@@ -25,7 +25,7 @@
 #include <tuple>
 
 #include "core/checkpoint.hh"
-#include "core/dse.hh"
+#include "core/configs.hh"
 #include "core/experiment.hh"
 #include "core/result_store.hh"
 #include "workload/cpu_profiles.hh"

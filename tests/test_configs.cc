@@ -1,12 +1,22 @@
 /**
  * @file
  * Tests that every Table IV configuration maps to the right simulator
- * parameters and energy-model device assignments.
+ * parameters and energy-model device assignments, and pins the energy
+ * every configuration's model gives.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <string>
+
+#include "common/report.hh"
+#include "common/serialize.hh"
 #include "core/configs.hh"
+#include "core/experiment.hh"
+#include "workload/cpu_profiles.hh"
+#include "workload/gpu_profiles.hh"
 
 using namespace hetsim;
 using namespace hetsim::core;
@@ -27,6 +37,45 @@ DeviceClass
 gpuDev(const GpuConfigBundle &b, GpuUnit u)
 {
     return b.units[static_cast<int>(u)].dev;
+}
+
+/** One configuration's pinned results: cycles, ops, and the FNV-1a
+ *  digest of unitEnergyBits(). */
+struct EnergyPin
+{
+    uint64_t cycles;
+    uint64_t ops;
+    uint64_t unitDigest;
+};
+
+/** Each report unit's name, then the bit pattern and value of its
+ *  dynamic and leakage energy, one line per unit in report order. */
+std::string
+unitEnergyBits(const obs::RunReport &rep)
+{
+    std::string out;
+    for (const obs::UnitEnergy &u : rep.units) {
+        uint64_t dyn = 0, leak = 0;
+        std::memcpy(&dyn, &u.dynamicJ, sizeof(dyn));
+        std::memcpy(&leak, &u.leakageJ, sizeof(leak));
+        char line[160];
+        std::snprintf(line, sizeof(line),
+                      "%s dyn=%016llx (%.17g) leak=%016llx (%.17g)\n",
+                      u.name.c_str(), static_cast<unsigned long long>(dyn),
+                      u.dynamicJ, static_cast<unsigned long long>(leak),
+                      u.leakageJ);
+        out += line;
+    }
+    return out;
+}
+
+void
+expectPinned(const obs::RunReport &rep, const EnergyPin &pin)
+{
+    const std::string units = unitEnergyBits(rep);
+    EXPECT_EQ(rep.cycles, pin.cycles);
+    EXPECT_EQ(rep.ops, pin.ops);
+    EXPECT_EQ(fnv1a(units), pin.unitDigest) << units;
 }
 
 } // namespace
@@ -279,4 +328,59 @@ TEST(GpuConfigs, AdvHet2XDoublesCus)
     EXPECT_EQ(b.numCus, 16u);
     EXPECT_EQ(b.sim.numCus, 16u);
     EXPECT_TRUE(b.sim.cu.timings.useRfCache);
+}
+
+TEST(TableIvEnergyPins, EveryCpuConfigOnFft)
+{
+    // fft at scale 0.02 on all 11 CPU configurations, in CpuConfig
+    // order: cycles, committed ops and every unit's energy bits,
+    // recorded before Table IV was built by the design synthesizer.
+    const EnergyPin kPins[kNumCpuConfigs] = {
+        {10661, 15990, 0x93b707406b79f9acull},  // BaseCMOS
+        {10669, 15990, 0xe8a9fbb08798f73full},  // BaseCMOS-Enh
+        {10661, 15990, 0xc81af05f05bc92cfull},  // BaseTFET
+        {12082, 15990, 0x6596c5b6961be34dull},  // BaseHet
+        {11513, 15990, 0x1e5430b8f0aae604ull},  // AdvHet
+        {11209, 15990, 0x381f40ce91f6dffdull},  // BaseL3
+        {11052, 15990, 0x3ac40dfed85c8c91ull},  // BaseHighVt
+        {11983, 15990, 0x6dbc99306c433775ull},  // BaseHet-FastALU
+        {12074, 15990, 0x5b40d657ca4db099ull},  // BaseHet-Enh
+        {11891, 15990, 0x46fbcaa3f346eed4ull},  // BaseHet-Split
+        {8525, 15990, 0x65b6efd6e33d7af5ull},   // AdvHet-2X
+    };
+    const auto app = workload::findCpuApp("fft");
+    ASSERT_TRUE(app.ok());
+    ExperimentOptions opts;
+    opts.scale = 0.02;
+    for (int i = 0; i < kNumCpuConfigs; ++i) {
+        const auto cfg = static_cast<CpuConfig>(i);
+        SCOPED_TRACE(cpuConfigName(cfg));
+        obs::RunReport rep;
+        runCpuExperiment(cfg, *app.value(), opts, &rep);
+        expectPinned(rep, kPins[i]);
+    }
+}
+
+TEST(TableIvEnergyPins, EveryGpuConfigOnMatrixmul)
+{
+    // matrixmul at scale 0.05 on all 5 GPU configurations, in
+    // GpuConfig order, recorded like the CPU pins.
+    const EnergyPin kPins[kNumGpuConfigs] = {
+        {3404, 3750, 0x1ff435d48c906255ull}, // BaseCMOS
+        {3404, 3750, 0xaa0de2c73a6268c7ull}, // BaseTFET
+        {4298, 3750, 0xee5cc457e665ca49ull}, // BaseHet
+        {3776, 3750, 0x581a9c8c0a898029ull}, // AdvHet
+        {2062, 3750, 0xa7f77472757c4126ull}, // AdvHet-2X
+    };
+    const auto kernel = workload::findGpuKernel("matrixmul");
+    ASSERT_TRUE(kernel.ok());
+    ExperimentOptions opts;
+    opts.scale = 0.05;
+    for (int i = 0; i < kNumGpuConfigs; ++i) {
+        const auto cfg = static_cast<GpuConfig>(i);
+        SCOPED_TRACE(gpuConfigName(cfg));
+        obs::RunReport rep;
+        runGpuExperiment(cfg, *kernel.value(), opts, &rep);
+        expectPinned(rep, kPins[i]);
+    }
 }

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "core/dse.hh"
+#include "core/configs.hh"
 #include "core/result_store.hh"
 #include "core/sweep.hh"
 #include "workload/cpu_profiles.hh"
