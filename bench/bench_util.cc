@@ -53,13 +53,26 @@ runCpuSuite(const std::vector<core::CpuConfig> &configs,
     CpuSuite suite;
     suite.configs = configs;
     suite.apps = workload::cpuApps();
-    suite.outcomes.reserve(configs.size() * suite.apps.size());
-    for (core::CpuConfig cfg : configs) {
-        std::fprintf(stderr, "  running %s...\n",
-                     core::cpuConfigName(cfg));
-        for (const workload::AppProfile &app : suite.apps)
-            suite.outcomes.push_back(
-                core::runCpuExperiment(cfg, app, opts));
+    suite.outcomes.resize(configs.size() * suite.apps.size());
+    std::vector<uint32_t> run_cores;
+    for (core::CpuConfig cfg : configs)
+        run_cores.push_back(core::cpuRunCores(
+            core::cpuHybridFromConfig(cfg).numCores, opts));
+    // App-major, so that the configs sharing an app's workload replay
+    // one recording of it, freed before the next app's.
+    for (size_t a = 0; a < suite.apps.size(); ++a) {
+        const workload::AppProfile &app = suite.apps[a];
+        const workload::SharedCpuRecordings recordings(
+            app, run_cores, opts.seed, opts.scale);
+        for (size_t c = 0; c < configs.size(); ++c) {
+            if (a == 0)
+                std::fprintf(stderr, "  running %s...\n",
+                             core::cpuConfigName(configs[c]));
+            suite.outcomes[c * suite.apps.size() + a] =
+                core::runCpuExperiment(configs[c], app, opts, nullptr,
+                                       nullptr,
+                                       recordings.find(run_cores[c]));
+        }
     }
     return suite;
 }

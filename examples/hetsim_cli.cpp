@@ -468,11 +468,16 @@ cmdRun(const Args &args)
     const workload::AppProfile *app =
         orDie(workload::findCpuApp(args.str("app")));
     const core::ExperimentOptions opts = experimentOptions(args);
-    return runOne(args, core::cpuConfigName(cfg), app->name, opts,
-                  core::designHash(core::cpuHybridFromConfig(cfg)),
+    // A --freq below the DRAM/L3 round-trip floor fails synthesis.
+    const core::CpuHybridDesign design = core::cpuHybridFromConfig(cfg);
+    const core::CpuConfigBundle bundle =
+        orDie(core::synthesizeCpuBundle(design, opts.freqGhz));
+    const uint64_t hash = core::designHash(design);
+    return runOne(args, core::cpuConfigName(cfg), app->name, opts, hash,
                   [&](obs::RunReport *report, obs::TraceBuffer *trace) {
-                      return core::runRecord(core::runCpuExperiment(
-                          cfg, *app, opts, report, trace));
+                      return core::runRecord(core::runCpuBundle(
+                          bundle, core::cpuConfigName(cfg), hash, *app,
+                          opts, report, trace));
                   });
 }
 
@@ -667,6 +672,11 @@ cmdDse(const Args &args)
         die("--strategy must be exhaustive or greedy, got '%s'",
             strategy.c_str());
     const uint64_t repeat = std::max<uint64_t>(args.count("repeat"), 1);
+    // Every CPU search holds the base design, whose round trips are
+    // the shortest: a --freq it cannot be built at leaves no design.
+    if (space == "cpu")
+        orDie(core::synthesizeCpuBundle(core::CpuHybridDesign{},
+                                        opts.exp.freqGhz));
 
     std::optional<core::ResultStore> store = openStoreArg(args);
     opts.store = store ? &*store : nullptr;

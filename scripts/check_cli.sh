@@ -11,6 +11,8 @@
 #     journaled;
 #   - every option rejection exits 1, not 0 or an abort, with the
 #     option named on the first line of stderr;
+#   - a --freq no machine can be built at fails run and dse with exit
+#     1 and a sweep cell with the synthesis error, never an abort;
 #   - replaying a trace whose registers lie outside the scoreboard
 #     exits 1 with corrupt-record instead of crashing, and the same
 #     file as a sweep cell fails that cell only;
@@ -88,6 +90,28 @@ reject --timeout-ms sweep --workloads fft --timeout-ms nan
 # Needs another option.
 reject --checkpoint run --checkpoint-every 1000
 reject --store sweep --workloads fft --checkpoint-every 1000
+
+# A --freq below the DRAM/L3 round-trip floor cannot be synthesized:
+# run exits 1 naming the error, a sweep cell fails with it (not as a
+# crash) and the sweep completes, and dse names it too.
+floor='invalid-argument: lat: dramRt (25) is below l3Rt (32)'
+"$cli" run --config BaseCMOS --app fft --scale 0.01 --freq 0.5 \
+    > /dev/null 2> "$work/err"
+rc=$?
+[ "$rc" -eq 1 ] || fail "run --freq 0.5 exited $rc, not 1"
+grep -q "$floor" "$work/err" ||
+    fail "run --freq 0.5: $(head -n 1 "$work/err")"
+"$cli" sweep --configs BaseCMOS --workloads fft --scale 0.01 --freq 0.5 \
+    --csv "$work/floor.csv" > /dev/null 2>&1 ||
+    fail "sweep --freq 0.5 exited $?"
+grep -q "^BaseCMOS,fft,failed,.*,$floor" "$work/floor.csv" ||
+    fail "sweep --freq 0.5 cell: $(tail -n 1 "$work/floor.csv")"
+"$cli" dse --space cpu --app fft --scale 0.002 --freq 0.5 \
+    > /dev/null 2> "$work/err"
+rc=$?
+[ "$rc" -eq 1 ] || fail "dse --freq 0.5 exited $rc, not 1"
+grep -q "$floor" "$work/err" ||
+    fail "dse --freq 0.5: $(head -n 1 "$work/err")"
 
 # A bench harness rejects a bad scale before it simulates anything.
 for scale in 0.001x -1 nan inf 1e999; do

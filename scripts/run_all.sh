@@ -19,7 +19,10 @@ ctest --test-dir build --output-on-failure
 # tests because the GPU run loop indexes per-CU wake cycles and each
 # CU keeps an occupied-slot count; the DSE tests because the DSE decodes
 # run records read back from the store, and that test feeds the record
-# decoder every prefix and bit flip of an encoding; hetsim_cli,
+# decoder every prefix and bit flip of an encoding; the CPU workload
+# tests because replay cursors index a recording shared by many runs;
+# the FU-pool tests because the pool picks a unit array per op class;
+# hetsim_cli,
 # bench_fig10_gpu_time and cli_contracts because that test feeds the
 # option parser, the bench scale parser and the trace decoder bad input
 # and kills, preempts and resumes checkpointed runs and sweeps.
@@ -28,14 +31,15 @@ cmake --build build-asan --target test_status test_trace_file \
       test_fault_inject test_sweep test_result_store test_checkpoint \
       test_cache test_branch_pred test_hierarchy test_sync \
       test_ooo_core test_multicore test_skip test_gpu test_wavefront \
-      test_rf_cache test_dse hetsim_cli bench_fig10_gpu_time
+      test_rf_cache test_dse test_workload_cpu test_func_unit \
+      hetsim_cli bench_fig10_gpu_time
 ctest --test-dir build-asan --output-on-failure \
-      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_checkpoint|test_cache|test_branch_pred|test_hierarchy|test_sync|test_ooo_core|test_multicore|test_skip|test_gpu|test_wavefront|test_rf_cache|test_dse|cli_contracts'
+      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_checkpoint|test_cache|test_branch_pred|test_hierarchy|test_sync|test_ooo_core|test_multicore|test_skip|test_gpu|test_wavefront|test_rf_cache|test_dse|test_workload_cpu|test_func_unit|cli_contracts'
 
 # Concurrency pass: the thread-pool, design-space-exploration, and
 # shared-memory contention tests under ThreadSanitizer, so a data race
-# in the parallel evaluator or the sync/contention subsystem fails the
-# run.
+# in the parallel evaluator (whose pool threads share one recorded
+# workload) or the sync/contention subsystem fails the run.
 cmake -B build-tsan -G Ninja -DHETSIM_SANITIZE=thread
 cmake --build build-tsan --target test_thread_pool test_dse test_sync
 ctest --test-dir build-tsan --output-on-failure \

@@ -253,11 +253,21 @@ evaluateCpuDesigns(const std::vector<CpuHybridDesign> &designs,
         cells.push_back(std::move(cell));
     }
 
+    // Designs with the same core count run the same workload: record
+    // it once, and the pool threads replay it read-only.
+    std::vector<uint32_t> run_cores;
+    for (const auto &cell : cells)
+        run_cores.push_back(cpuRunCores(cell.cores, opts.exp));
+    const workload::SharedCpuRecordings recordings(
+        app, run_cores, opts.exp.seed, opts.exp.scale);
+
     return evaluateCells(
         cells, pool, cache, opts.store,
         [&](const PreparedCell<CpuConfigBundle> &cell) {
-            return runRecord(runCpuBundle(cell.bundle, cell.name,
-                                          cell.hash, app, opts.exp));
+            return runRecord(runCpuBundle(
+                cell.bundle, cell.name, cell.hash, app, opts.exp,
+                nullptr, nullptr,
+                recordings.find(cpuRunCores(cell.cores, opts.exp))));
         });
 }
 

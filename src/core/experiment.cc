@@ -253,12 +253,13 @@ decodeRunRecord(std::string_view bytes)
 CpuOutcome
 runCpuExperiment(CpuConfig cfg, const workload::AppProfile &app,
                  const ExperimentOptions &opts, obs::RunReport *report,
-                 obs::TraceBuffer *trace)
+                 obs::TraceBuffer *trace,
+                 const workload::CpuRecording *recording)
 {
     return runCpuBundle(makeCpuConfig(cfg, opts.freqGhz),
                         cpuConfigName(cfg),
                         designHash(cpuHybridFromConfig(cfg)), app, opts,
-                        report, trace);
+                        report, trace, recording);
 }
 
 CpuOutcome
@@ -266,7 +267,8 @@ runCpuBundle(const CpuConfigBundle &bundle_in,
              const std::string &config_name, uint64_t design_hash,
              const workload::AppProfile &app,
              const ExperimentOptions &opts, obs::RunReport *report,
-             obs::TraceBuffer *trace)
+             obs::TraceBuffer *trace,
+             const workload::CpuRecording *recording)
 {
     CpuConfigBundle bundle = bundle_in;
     if (opts.coresOverride > 0) {
@@ -276,12 +278,27 @@ runCpuBundle(const CpuConfigBundle &bundle_in,
     bundle.sim.watchdogCycles = opts.watchdogCycles;
     bundle.sim.skipEnabled = !opts.noSkip;
 
-    auto traces = workload::makeCpuWorkload(app, bundle.numCores,
-                                            opts.seed, opts.scale);
+    hetsim_assert(recording == nullptr ||
+                      recording->records(app, opts.seed, opts.scale),
+                  "recording is not this run's workload (%s, seed "
+                  "%llu, scale %g)", app.name,
+                  static_cast<unsigned long long>(opts.seed),
+                  opts.scale);
+    // Fresh cursors at every thread's first op: over the recording
+    // when it has one thread per core, else new generators.
+    std::vector<std::unique_ptr<cpu::TraceSource>> traces;
     std::vector<cpu::TraceSource *> ptrs;
-    ptrs.reserve(traces.size());
-    for (auto &t : traces)
-        ptrs.push_back(t.get());
+    auto open_traces = [&] {
+        traces = recording != nullptr &&
+                recording->numThreads() == bundle.numCores
+            ? recording->open()
+            : workload::makeCpuWorkload(app, bundle.numCores,
+                                        opts.seed, opts.scale);
+        ptrs.clear();
+        for (auto &t : traces)
+            ptrs.push_back(t.get());
+    };
+    open_traces();
 
     auto mc = std::make_unique<cpu::Multicore>(bundle.sim, ptrs);
     if (!opts.checkpointPath.empty()) {
@@ -298,13 +315,9 @@ runCpuBundle(const CpuConfigBundle &bundle_in,
             } else {
                 warn("checkpoint restore failed (%s); cold start",
                      des.status().message().c_str());
-                // The failed restore part-consumed the seeded traces:
-                // rebuild workload and chip from scratch.
-                traces = workload::makeCpuWorkload(
-                    app, bundle.numCores, opts.seed, opts.scale);
-                ptrs.clear();
-                for (auto &t : traces)
-                    ptrs.push_back(t.get());
+                // The failed restore part-consumed the traces:
+                // reopen them and rebuild the chip from scratch.
+                open_traces();
                 mc = std::make_unique<cpu::Multicore>(bundle.sim,
                                                       ptrs);
             }

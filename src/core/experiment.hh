@@ -24,6 +24,7 @@
 #include "core/dvfs.hh"
 #include "power/metrics.hh"
 #include "workload/cpu_profiles.hh"
+#include "workload/cpu_recording.hh"
 #include "workload/gpu_profiles.hh"
 
 namespace hetsim::core
@@ -61,6 +62,14 @@ struct ExperimentOptions
     /** @} */
 };
 
+/** The cores, and so the trace threads, of a CPU run under `opts` on
+ *  a chip of `cores` cores: opts.coresOverride when set. */
+inline uint32_t
+cpuRunCores(uint32_t cores, const ExperimentOptions &opts)
+{
+    return opts.coresOverride > 0 ? opts.coresOverride : cores;
+}
+
 /** Outcome of one (config, app) run. */
 struct CpuOutcome
 {
@@ -95,12 +104,16 @@ struct GpuOutcome
  * predictors, caches, ring, DRAM, hierarchy), per-unit activity and
  * energy, and the run identity. When `trace` is non-null, pipeline and
  * cache events of every core are recorded into it during the run.
+ * `recording`, when non-null, is this run's workload (app, opts.seed,
+ * opts.scale) recorded once for many runs: the run replays it when its
+ * thread count is the chip's core count and streams from the
+ * generators otherwise. Either way the outcome is the same.
  */
-CpuOutcome runCpuExperiment(CpuConfig cfg,
-                            const workload::AppProfile &app,
-                            const ExperimentOptions &opts = {},
-                            obs::RunReport *report = nullptr,
-                            obs::TraceBuffer *trace = nullptr);
+CpuOutcome runCpuExperiment(
+    CpuConfig cfg, const workload::AppProfile &app,
+    const ExperimentOptions &opts = {}, obs::RunReport *report = nullptr,
+    obs::TraceBuffer *trace = nullptr,
+    const workload::CpuRecording *recording = nullptr);
 
 /** Simulate one GPU configuration on one kernel. `report` and `trace`
  *  behave as in runCpuExperiment (wavefront-issue events). */
@@ -116,15 +129,15 @@ GpuOutcome runGpuExperiment(GpuConfig cfg,
  * carried into the outcome and `design_hash`, the bundle's
  * designHash(), into the checkpoint key; opts.freqGhz must match the
  * frequency the bundle was built at (it selects the operating-point
- * voltages).
+ * voltages). `recording` is as in runCpuExperiment; the core count it
+ * must match is the bundle's after opts.coresOverride.
  */
-CpuOutcome runCpuBundle(const CpuConfigBundle &bundle,
-                        const std::string &config_name,
-                        uint64_t design_hash,
-                        const workload::AppProfile &app,
-                        const ExperimentOptions &opts = {},
-                        obs::RunReport *report = nullptr,
-                        obs::TraceBuffer *trace = nullptr);
+CpuOutcome runCpuBundle(
+    const CpuConfigBundle &bundle, const std::string &config_name,
+    uint64_t design_hash, const workload::AppProfile &app,
+    const ExperimentOptions &opts = {}, obs::RunReport *report = nullptr,
+    obs::TraceBuffer *trace = nullptr,
+    const workload::CpuRecording *recording = nullptr);
 
 /** Simulate an already-built GPU bundle. */
 GpuOutcome runGpuBundle(const GpuConfigBundle &bundle,

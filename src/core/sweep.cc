@@ -115,14 +115,24 @@ runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
         exp.checkpointPath =
             cellCheckpointPath(cellStoreKey(cell, opts), opts);
 
+    // A frequency below the DRAM/L3 round-trip floor fails synthesis,
+    // and so the cell, with that error.
+    const auto cpu_bundle = [&] {
+        return synthesizeCpuBundle(cpuHybridFromConfig(cell.cpuCfg),
+                                   exp.freqGhz);
+    };
     switch (cell.kind) {
       case SweepCell::Kind::CpuApp:
       {
         const auto app = workload::findCpuApp(cell.workload);
         if (!app.ok())
             return recordOf(app.status());
-        return runRecord(
-            runCpuExperiment(cell.cpuCfg, *app.value(), exp));
+        const Result<CpuConfigBundle> bundle = cpu_bundle();
+        if (!bundle.ok())
+            return recordOf(bundle.status());
+        return runRecord(runCpuBundle(
+            bundle.value(), cpuConfigName(cell.cpuCfg),
+            cellDesignHash(cell), *app.value(), exp));
       }
 
       case SweepCell::Kind::CpuTrace:
@@ -130,9 +140,10 @@ runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
         auto trace = workload::FileTrace::open(cell.workload);
         if (!trace.ok())
             return recordOf(trace.status());
-        CpuConfigBundle bundle =
-            makeCpuConfig(cell.cpuCfg, exp.freqGhz);
-        cpu::MulticoreParams sim = bundle.sim;
+        const Result<CpuConfigBundle> bundle = cpu_bundle();
+        if (!bundle.ok())
+            return recordOf(bundle.status());
+        cpu::MulticoreParams sim = bundle.value().sim;
         sim.mem.numCores = 1;
         sim.watchdogCycles = exp.watchdogCycles;
         cpu::Multicore mc(sim, {trace.value().get()});

@@ -49,7 +49,13 @@ FuncUnitPool::nextFreeCycle(OpClass cls) const
       case OpClass::FpDiv:
         units = &fpuFree_;
         break;
+      // Barriers and sync ops park the core at dispatch and never
+      // reach a unit; a Nop needs none.
       case OpClass::Barrier:
+      case OpClass::LockAcquire:
+      case OpClass::LockRelease:
+      case OpClass::SignalEvt:
+      case OpClass::WaitEvt:
       case OpClass::Nop:
         return 0;
     }
@@ -194,6 +200,10 @@ FuncUnitPool::tryIssue(OpClass cls, Cycle now, bool prefer_fast)
       }
 
       case OpClass::Barrier:
+      case OpClass::LockAcquire:
+      case OpClass::LockRelease:
+      case OpClass::SignalEvt:
+      case OpClass::WaitEvt:
       case OpClass::Nop:
         res.ok = true;
         res.latency = 1;

@@ -10,39 +10,40 @@ namespace
 
 // Fields: name, suite, load, store, branch, fp, fpDivShare,
 // fpMulShare, intMulShare, intDivShare, depShortP, branchRandomFrac,
-// footprintKb (total working set across threads), spatialLocality, sharedFraction, codeKb,
-// serialFraction, phases, totalOps.
+// footprintKb (total working set across threads), spatialLocality,
+// sharedFraction, codeKb, serialFraction, phases, totalOps, sharing
+// ({}: the classic per-thread generator).
 const std::vector<AppProfile> kApps = {
     // SPLASH-2.
     {"barnes", "splash2", 0.25, 0.10, 0.12, 0.22, 0.04, 0.45, 0.08,
-     0.005, 0.45, 0.06, 512, 0.60, 0.05, 24, 0.06, 4, 800000},
+     0.005, 0.45, 0.06, 512, 0.60, 0.05, 24, 0.06, 4, 800000, {}},
     {"cholesky", "splash2", 0.28, 0.12, 0.08, 0.26, 0.02, 0.50, 0.08,
-     0.004, 0.48, 0.08, 1024, 0.75, 0.03, 16, 0.08, 3, 800000},
+     0.004, 0.48, 0.08, 1024, 0.75, 0.03, 16, 0.08, 3, 800000, {}},
     {"fft", "splash2", 0.30, 0.15, 0.06, 0.30, 0.01, 0.50, 0.06,
-     0.002, 0.40, 0.04, 4096, 0.85, 0.02, 8, 0.05, 3, 800000},
+     0.002, 0.40, 0.04, 4096, 0.85, 0.02, 8, 0.05, 3, 800000, {}},
     {"fmm", "splash2", 0.26, 0.10, 0.12, 0.26, 0.03, 0.45, 0.08,
-     0.004, 0.45, 0.05, 768, 0.65, 0.05, 32, 0.07, 4, 800000},
+     0.004, 0.45, 0.05, 768, 0.65, 0.05, 32, 0.07, 4, 800000, {}},
     {"lu", "splash2", 0.30, 0.12, 0.07, 0.30, 0.02, 0.55, 0.06,
-     0.002, 0.50, 0.05, 768, 0.80, 0.02, 8, 0.06, 4, 800000},
+     0.002, 0.50, 0.05, 768, 0.80, 0.02, 8, 0.06, 4, 800000, {}},
     {"radiosity", "splash2", 0.24, 0.10, 0.16, 0.19, 0.03, 0.45,
-     0.08, 0.005, 0.50, 0.08, 1024, 0.50, 0.08, 48, 0.09, 3, 800000},
+     0.08, 0.005, 0.50, 0.08, 1024, 0.50, 0.08, 48, 0.09, 3, 800000, {}},
     {"radix", "splash2", 0.30, 0.18, 0.08, 0.02, 0.03, 0.40, 0.05,
-     0.004, 0.55, 0.05, 8192, 0.55, 0.04, 8, 0.06, 4, 800000},
+     0.004, 0.55, 0.05, 8192, 0.55, 0.04, 8, 0.06, 4, 800000, {}},
     {"raytrace", "splash2", 0.28, 0.08, 0.16, 0.22, 0.05, 0.45, 0.08,
-     0.005, 0.55, 0.08, 2048, 0.40, 0.06, 64, 0.08, 2, 800000},
+     0.005, 0.55, 0.08, 2048, 0.40, 0.06, 64, 0.08, 2, 800000, {}},
     {"water-nsq", "splash2", 0.24, 0.10, 0.10, 0.34, 0.03, 0.45,
-     0.08, 0.004, 0.40, 0.08, 256, 0.70, 0.04, 16, 0.05, 4, 800000},
+     0.08, 0.004, 0.40, 0.08, 256, 0.70, 0.04, 16, 0.05, 4, 800000, {}},
     {"water-sp", "splash2", 0.24, 0.10, 0.10, 0.34, 0.03, 0.45, 0.08,
-     0.004, 0.42, 0.08, 192, 0.70, 0.04, 16, 0.05, 4, 800000},
+     0.004, 0.42, 0.08, 192, 0.70, 0.04, 16, 0.05, 4, 800000, {}},
     // PARSEC.
     {"blackscholes", "parsec", 0.22, 0.08, 0.05, 0.38, 0.04, 0.45,
-     0.06, 0.002, 0.30, 0.02, 256, 0.90, 0.01, 8, 0.03, 2, 800000},
+     0.06, 0.002, 0.30, 0.02, 256, 0.90, 0.01, 8, 0.03, 2, 800000, {}},
     {"canneal", "parsec", 0.33, 0.10, 0.14, 0.05, 0.03, 0.40, 0.02,
-     0.003, 0.60, 0.10, 10240, 0.30, 0.10, 32, 0.12, 3, 800000},
+     0.003, 0.60, 0.10, 10240, 0.30, 0.10, 32, 0.12, 3, 800000, {}},
     {"streamcluster", "parsec", 0.30, 0.08, 0.08, 0.30, 0.02, 0.50,
-     0.06, 0.002, 0.40, 0.05, 4096, 0.90, 0.03, 8, 0.06, 4, 800000},
+     0.06, 0.002, 0.40, 0.05, 4096, 0.90, 0.03, 8, 0.06, 4, 800000, {}},
     {"fluidanimate", "parsec", 0.27, 0.12, 0.10, 0.26, 0.04, 0.45,
-     0.08, 0.004, 0.48, 0.05, 1536, 0.60, 0.06, 24, 0.09, 4, 800000},
+     0.08, 0.004, 0.48, 0.05, 1536, 0.60, 0.06, 24, 0.09, 4, 800000, {}},
 };
 
 // Contention microbenchmarks: synthetic kernels whose memory traffic

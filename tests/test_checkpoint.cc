@@ -599,6 +599,145 @@ INSTANTIATE_TEST_SUITE_P(
         return name + "_" + std::get<1>(info.param);
     });
 
+// ------------------- Recorded workloads -----------------------------
+
+using ReplayCase = std::tuple<CpuConfig, const char *>;
+
+namespace
+{
+
+/** Test-name form of a case ("AdvHet-2X" is not a valid name). */
+std::string
+caseName(const ::testing::TestParamInfo<ReplayCase> &info)
+{
+    std::string name = cpuConfigName(std::get<0>(info.param));
+    name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+    return name + "_" + std::get<1>(info.param);
+}
+
+} // namespace
+
+class CpuReplay : public CheckpointExperimentTest,
+                  public ::testing::WithParamInterface<ReplayCase>
+{
+  protected:
+    /** Run the case's Table IV config on its app. */
+    CpuOutcome
+    run(const ExperimentOptions &opts, obs::RunReport *report,
+        const workload::CpuRecording *recording) const
+    {
+        const CpuConfig cfg = std::get<0>(GetParam());
+        return runCpuBundle(makeCpuConfig(cfg, opts.freqGhz),
+                            cpuConfigName(cfg),
+                            designHash(cpuHybridFromConfig(cfg)), app(),
+                            opts, report, nullptr, recording);
+    }
+
+    const workload::AppProfile &
+    app() const
+    {
+        return workload::cpuApp(std::get<1>(GetParam()));
+    }
+
+    uint32_t
+    cores() const
+    {
+        return cpuHybridFromConfig(std::get<0>(GetParam())).numCores;
+    }
+};
+
+/** A run that replays a recording of its workload is the run that
+ *  streams it from the generators: same report bytes. */
+TEST_P(CpuReplay, ReplayMatchesStreaming)
+{
+    ExperimentOptions opts;
+    opts.scale = 0.01;
+    const workload::CpuRecording rec(app(), cores(), opts.seed,
+                                     opts.scale);
+    obs::RunReport streamed, replayed;
+    run(opts, &streamed, nullptr);
+    run(opts, &replayed, &rec);
+    EXPECT_EQ(replayed.toJson(), streamed.toJson());
+}
+
+/** The same with the run preempted at every periodic drain: each
+ *  segment opens fresh cursors over the recording and re-seeks them
+ *  to the checkpoint, and the final report matches the uninterrupted
+ *  streaming run at the same cadence. */
+TEST_P(CpuReplay, ResumingAtEveryDrainIsByteIdentical)
+{
+    ExperimentOptions ref_opts = baseOpts();
+    ref_opts.scale = 0.01;
+    ref_opts.checkpointEveryCycles = 1000;
+    ref_opts.checkpointPath = dir_ + "/ref" + kCheckpointSuffix;
+    obs::RunReport ref_report;
+    const CpuOutcome ref = run(ref_opts, &ref_report, nullptr);
+    ASSERT_FALSE(ref.preempted);
+
+    ExperimentOptions opts = ref_opts;
+    opts.checkpointPath = path_;
+    const workload::CpuRecording rec(app(), cores(), opts.seed,
+                                     opts.scale);
+    g_test_preempt = 1;
+    opts.preempt = &g_test_preempt;
+    const uint64_t max_segments =
+        ref.cycles / opts.checkpointEveryCycles + 2;
+    obs::RunReport report;
+    CpuOutcome out;
+    uint64_t segments = 0;
+    do {
+        report = obs::RunReport();
+        out = run(opts, &report, &rec);
+        ++segments;
+    } while (out.preempted && segments < max_segments);
+    g_test_preempt = 0;
+
+    ASSERT_FALSE(out.preempted) << "unfinished after " << segments
+                                << " segments";
+    EXPECT_GT(segments, 2u);
+    EXPECT_EQ(report.toJson(), ref_report.toJson());
+    EXPECT_FALSE(fileExists(path_));
+}
+
+/** A recording whose thread count is not the run's core count (here
+ *  through coresOverride) is not replayed: the run streams, and its
+ *  report is the streaming run's. */
+TEST_P(CpuReplay, MismatchedCoresStream)
+{
+    ExperimentOptions opts;
+    opts.scale = 0.01;
+    opts.coresOverride = cores() / 2;
+    const workload::CpuRecording rec(app(), cores(), opts.seed,
+                                     opts.scale);
+    obs::RunReport streamed, with_rec;
+    run(opts, &streamed, nullptr);
+    run(opts, &with_rec, &rec);
+    EXPECT_EQ(with_rec.toJson(), streamed.toJson());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, CpuReplay,
+    ::testing::Combine(::testing::Values(CpuConfig::BaseCmos,
+                                         CpuConfig::AdvHet,
+                                         CpuConfig::AdvHet2X),
+                       ::testing::Values("fft", "canneal",
+                                         "lock_heavy")),
+    caseName);
+
+/** A recording of another workload is a caller bug, not a silent
+ *  wrong answer. */
+TEST(CpuReplayDeath, ForeignRecordingPanics)
+{
+    ExperimentOptions opts;
+    opts.scale = 0.01;
+    const workload::CpuRecording rec(workload::cpuApp("lu"), 4,
+                                     opts.seed, opts.scale);
+    EXPECT_DEATH(runCpuExperiment(CpuConfig::BaseCmos,
+                                  workload::cpuApp("fft"), opts,
+                                  nullptr, nullptr, &rec),
+                 "recording is not this run's workload \\(fft");
+}
+
 /** A corrupt checkpoint must cost the saved progress, never the run:
  *  quarantine, cold start, and the report is still byte-identical. */
 TEST_F(CheckpointExperimentTest, CorruptCheckpointColdStartsCleanly)

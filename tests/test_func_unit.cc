@@ -181,3 +181,23 @@ TEST(FuncUnit, LsuBandwidth)
     EXPECT_TRUE(pool.tryIssue(OpClass::Store, 0).ok);
     EXPECT_FALSE(pool.tryIssue(OpClass::Load, 0).ok);
 }
+
+TEST(FuncUnit, SyncOpsNeedNoUnit)
+{
+    // Lock, signal and wait ops park the core at dispatch, like a
+    // barrier: they claim no unit, and no unit bounds when they could.
+    FuncUnitPool pool(FuPoolParams{});
+    for (OpClass cls : {OpClass::LockAcquire, OpClass::LockRelease,
+                        OpClass::SignalEvt, OpClass::WaitEvt}) {
+        EXPECT_EQ(pool.nextFreeCycle(cls), 0u);
+        for (int i = 0; i < 8; ++i) {
+            const FuIssue fi = pool.tryIssue(cls, 0);
+            EXPECT_TRUE(fi.ok);
+            EXPECT_EQ(fi.latency, 1u);
+        }
+        EXPECT_EQ(pool.nextFreeCycle(cls), 0u);
+    }
+    // Every ALU is still free in cycle 0.
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(pool.tryIssue(OpClass::IntAlu, 0).ok);
+}

@@ -4,9 +4,14 @@
  * application. These encode the structural relationships the paper's
  * argument rests on, independent of exact magnitudes, and double as
  * failure-injection guards (deadline watchdog, mismatched barriers).
+ * Each distinct (config, app, seed) cell is simulated once and read
+ * by every invariant that needs it.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 #include "core/experiment.hh"
 #include "gpu/gpu.hh"
@@ -28,6 +33,52 @@ quick()
     return o;
 }
 
+/** Every distinct (config, seed) cell the invariants read for one
+ *  app. */
+struct AppCells
+{
+    CpuOutcome cmos, tfet, het, adv, highVt;
+    CpuOutcome advRepeat; ///< A second, independent AdvHet run.
+    CpuOutcome cmosSeed99, hetSeed99;
+};
+
+/** Simulate the app's cells once, on first use. The four-core configs
+ *  replay one recording of the app per seed; the repeat run streams
+ *  from the generators, so it shares no state with the first. */
+const AppCells &
+cellsOf(const workload::AppProfile &app)
+{
+    static std::map<std::string, AppCells> memo;
+    const auto it = memo.find(app.name);
+    if (it != memo.end())
+        return it->second;
+
+    const ExperimentOptions s1 = quick();
+    ExperimentOptions s99 = quick();
+    s99.seed = 99;
+    AppCells c;
+    {
+        const workload::CpuRecording rec(app, 4, s1.seed, s1.scale);
+        auto run = [&](CpuConfig cfg) {
+            return runCpuExperiment(cfg, app, s1, nullptr, nullptr, &rec);
+        };
+        c.cmos = run(CpuConfig::BaseCmos);
+        c.tfet = run(CpuConfig::BaseTfet);
+        c.het = run(CpuConfig::BaseHet);
+        c.adv = run(CpuConfig::AdvHet);
+        c.highVt = run(CpuConfig::BaseHighVt);
+    }
+    c.advRepeat = runCpuExperiment(CpuConfig::AdvHet, app, s1);
+    {
+        const workload::CpuRecording rec(app, 4, s99.seed, s99.scale);
+        c.cmosSeed99 = runCpuExperiment(CpuConfig::BaseCmos, app, s99,
+                                        nullptr, nullptr, &rec);
+        c.hetSeed99 = runCpuExperiment(CpuConfig::BaseHet, app, s99,
+                                       nullptr, nullptr, &rec);
+    }
+    return memo.emplace(app.name, c).first->second;
+}
+
 } // namespace
 
 class PaperInvariantTest : public ::testing::TestWithParam<int>
@@ -38,6 +89,8 @@ class PaperInvariantTest : public ::testing::TestWithParam<int>
     {
         return workload::cpuApps()[GetParam()];
     }
+
+    const AppCells &cells() const { return cellsOf(app()); }
 };
 
 /**
@@ -47,10 +100,8 @@ class PaperInvariantTest : public ::testing::TestWithParam<int>
  */
 TEST_P(PaperInvariantTest, BaseTfetIsExactlyHalfSpeed)
 {
-    const CpuOutcome cmos =
-        runCpuExperiment(CpuConfig::BaseCmos, app(), quick());
-    const CpuOutcome tfet =
-        runCpuExperiment(CpuConfig::BaseTfet, app(), quick());
+    const CpuOutcome &cmos = cells().cmos;
+    const CpuOutcome &tfet = cells().tfet;
     EXPECT_EQ(cmos.cycles, tfet.cycles) << app().name;
     EXPECT_NEAR(tfet.metrics.seconds / cmos.metrics.seconds, 2.0,
                 1e-9)
@@ -60,12 +111,9 @@ TEST_P(PaperInvariantTest, BaseTfetIsExactlyHalfSpeed)
 /** Time ordering: BaseCMOS <= AdvHet <= BaseHet for every app. */
 TEST_P(PaperInvariantTest, TimeOrdering)
 {
-    const CpuOutcome cmos =
-        runCpuExperiment(CpuConfig::BaseCmos, app(), quick());
-    const CpuOutcome het =
-        runCpuExperiment(CpuConfig::BaseHet, app(), quick());
-    const CpuOutcome adv =
-        runCpuExperiment(CpuConfig::AdvHet, app(), quick());
+    const CpuOutcome &cmos = cells().cmos;
+    const CpuOutcome &het = cells().het;
+    const CpuOutcome &adv = cells().adv;
     EXPECT_LE(cmos.metrics.seconds, adv.metrics.seconds * 1.02)
         << app().name;
     EXPECT_LE(adv.metrics.seconds, het.metrics.seconds * 1.02)
@@ -75,12 +123,9 @@ TEST_P(PaperInvariantTest, TimeOrdering)
 /** Energy ordering: BaseTFET < BaseHet-family < BaseCMOS. */
 TEST_P(PaperInvariantTest, EnergyOrdering)
 {
-    const CpuOutcome cmos =
-        runCpuExperiment(CpuConfig::BaseCmos, app(), quick());
-    const CpuOutcome het =
-        runCpuExperiment(CpuConfig::BaseHet, app(), quick());
-    const CpuOutcome tfet =
-        runCpuExperiment(CpuConfig::BaseTfet, app(), quick());
+    const CpuOutcome &cmos = cells().cmos;
+    const CpuOutcome &het = cells().het;
+    const CpuOutcome &tfet = cells().tfet;
     EXPECT_LT(tfet.metrics.energyJ, het.metrics.energyJ)
         << app().name;
     EXPECT_LT(het.metrics.energyJ, cmos.metrics.energyJ)
@@ -91,12 +136,9 @@ TEST_P(PaperInvariantTest, EnergyOrdering)
  *  changes must never lose or duplicate work. */
 TEST_P(PaperInvariantTest, WorkIsConfigurationIndependent)
 {
-    const CpuOutcome a =
-        runCpuExperiment(CpuConfig::BaseCmos, app(), quick());
-    const CpuOutcome b =
-        runCpuExperiment(CpuConfig::AdvHet, app(), quick());
-    const CpuOutcome c =
-        runCpuExperiment(CpuConfig::BaseHighVt, app(), quick());
+    const CpuOutcome &a = cells().cmos;
+    const CpuOutcome &b = cells().adv;
+    const CpuOutcome &c = cells().highVt;
     EXPECT_EQ(a.committedOps, b.committedOps) << app().name;
     EXPECT_EQ(a.committedOps, c.committedOps) << app().name;
 }
@@ -104,10 +146,8 @@ TEST_P(PaperInvariantTest, WorkIsConfigurationIndependent)
 /** Results are bit-identical across repeated runs (determinism). */
 TEST_P(PaperInvariantTest, DeterministicAcrossRuns)
 {
-    const CpuOutcome a =
-        runCpuExperiment(CpuConfig::AdvHet, app(), quick());
-    const CpuOutcome b =
-        runCpuExperiment(CpuConfig::AdvHet, app(), quick());
+    const CpuOutcome &a = cells().adv;
+    const CpuOutcome &b = cells().advRepeat;
     EXPECT_EQ(a.cycles, b.cycles) << app().name;
     EXPECT_DOUBLE_EQ(a.metrics.energyJ, b.metrics.energyJ)
         << app().name;
@@ -116,17 +156,10 @@ TEST_P(PaperInvariantTest, DeterministicAcrossRuns)
 /** A different seed changes the trace but not the headline shape. */
 TEST_P(PaperInvariantTest, SeedStability)
 {
-    ExperimentOptions s1 = quick();
-    ExperimentOptions s2 = quick();
-    s2.seed = 99;
-    const CpuOutcome b1 =
-        runCpuExperiment(CpuConfig::BaseCmos, app(), s1);
-    const CpuOutcome b2 =
-        runCpuExperiment(CpuConfig::BaseCmos, app(), s2);
-    const CpuOutcome h1 =
-        runCpuExperiment(CpuConfig::BaseHet, app(), s1);
-    const CpuOutcome h2 =
-        runCpuExperiment(CpuConfig::BaseHet, app(), s2);
+    const CpuOutcome &b1 = cells().cmos;
+    const CpuOutcome &b2 = cells().cmosSeed99;
+    const CpuOutcome &h1 = cells().het;
+    const CpuOutcome &h2 = cells().hetSeed99;
     const double r1 = h1.metrics.seconds / b1.metrics.seconds;
     const double r2 = h2.metrics.seconds / b2.metrics.seconds;
     EXPECT_NEAR(r1, r2, 0.08) << app().name;

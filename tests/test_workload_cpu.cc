@@ -2,7 +2,8 @@
  * @file
  * Tests for the synthetic CPU workload generators: determinism,
  * instruction-mix fidelity, structural properties (barriers, phases,
- * address regions, CFG), and thread-count invariants.
+ * address regions, CFG), thread-count invariants, and the recorded
+ * workload's replay cursors.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <set>
 
 #include "workload/cpu_profiles.hh"
+#include "workload/cpu_recording.hh"
 #include "workload/cpu_trace_gen.hh"
 
 using namespace hetsim;
@@ -314,3 +316,97 @@ TEST_P(CpuMixTest, PcStaysInThreadCodeRegion)
 
 INSTANTIATE_TEST_SUITE_P(AllApps, CpuMixTest,
                          ::testing::Range(0, 14));
+
+// ---------------------- Recorded workloads ----------------------
+
+namespace
+{
+
+bool
+sameOp(const MicroOp &a, const MicroOp &b)
+{
+    return a.cls == b.cls && a.src1 == b.src1 && a.src2 == b.src2 &&
+        a.dst == b.dst && a.pc == b.pc && a.addr == b.addr &&
+        a.target == b.target && a.taken == b.taken &&
+        a.accessSize == b.accessSize;
+}
+
+/** Up to `max` ops of `src`. */
+std::vector<MicroOp>
+take(cpu::TraceSource &src, size_t max = ~size_t{0})
+{
+    std::vector<MicroOp> ops;
+    MicroOp op;
+    while (ops.size() < max && src.next(op))
+        ops.push_back(op);
+    return ops;
+}
+
+} // namespace
+
+/** For every CPU app (the paper's 14 and the 5 contention apps) at 1,
+ *  4 and 8 threads, each cursor yields its generator's ops in order
+ *  and ends where the generator ends. */
+TEST(CpuRecording, CursorsReplayTheGenerators)
+{
+    std::vector<AppProfile> apps = cpuApps();
+    apps.insert(apps.end(), contentionApps().begin(),
+                contentionApps().end());
+    ASSERT_EQ(apps.size(), 19u);
+    for (const AppProfile &app : apps) {
+        for (uint32_t threads : {1u, 4u, 8u}) {
+            const CpuRecording rec(app, threads, 3, 0.01);
+            ASSERT_EQ(rec.numThreads(), threads);
+            EXPECT_TRUE(rec.records(app, 3, 0.01));
+            auto gens = makeCpuWorkload(app, threads, 3, 0.01);
+            auto cursors = rec.open();
+            ASSERT_EQ(cursors.size(), threads);
+            for (uint32_t t = 0; t < threads; ++t) {
+                uint64_t n = 0;
+                MicroOp want, got;
+                for (;; ++n) {
+                    const bool more = gens[t]->next(want);
+                    ASSERT_EQ(cursors[t]->next(got), more)
+                        << app.name << " thread " << t << "/"
+                        << threads << " op " << n;
+                    if (!more)
+                        break;
+                    ASSERT_TRUE(sameOp(want, got))
+                        << app.name << " thread " << t << "/"
+                        << threads << " op " << n;
+                }
+                EXPECT_GT(n, 0u) << app.name;
+                EXPECT_FALSE(cursors[t]->next(got)) << app.name;
+            }
+        }
+    }
+}
+
+/** Cursors over one recording keep their own positions: reading one
+ *  neither skips nor repeats an op of another, and the recording is
+ *  still whole for a cursor opened later. */
+TEST(CpuRecording, CursorsAreIndependent)
+{
+    const AppProfile &app = cpuApp("lock_heavy");
+    const CpuRecording rec(app, 4, 1, 0.01);
+    const std::vector<MicroOp> want =
+        take(*makeCpuWorkload(app, 4, 1, 0.01)[2]);
+    ASSERT_GT(want.size(), 100u);
+
+    auto a = rec.open();
+    auto b = rec.open();
+    std::vector<MicroOp> got_a = take(*a[2], 100);
+    const std::vector<MicroOp> got_b = take(*b[2]);
+    const std::vector<MicroOp> rest_a = take(*a[2]);
+    got_a.insert(got_a.end(), rest_a.begin(), rest_a.end());
+    auto expect_whole = [&](const std::vector<MicroOp> &got) {
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i)
+            ASSERT_TRUE(sameOp(got[i], want[i])) << "op " << i;
+    };
+    expect_whole(got_a);
+    expect_whole(got_b);
+    expect_whole(take(*rec.open()[2]));
+    EXPECT_FALSE(rec.records(app, 2, 0.01));
+    EXPECT_FALSE(rec.records(cpuApp("fft"), 1, 0.01));
+}
