@@ -1,12 +1,18 @@
 #include "bench/bench_util.hh"
 
+#include <malloc.h>
+
+#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
+#include <optional>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "workload/gpu_profiles.hh"
 
 namespace hetsim::bench
@@ -53,27 +59,53 @@ runCpuSuite(const std::vector<core::CpuConfig> &configs,
     CpuSuite suite;
     suite.configs = configs;
     suite.apps = workload::cpuApps();
-    suite.outcomes.resize(configs.size() * suite.apps.size());
+    const size_t n_configs = configs.size();
+    const size_t n_apps = suite.apps.size();
+    suite.outcomes.resize(n_configs * n_apps);
     std::vector<uint32_t> run_cores;
-    for (core::CpuConfig cfg : configs)
+    for (core::CpuConfig cfg : configs) {
+        std::fprintf(stderr, "  running %s...\n",
+                     core::cpuConfigName(cfg));
         run_cores.push_back(core::cpuRunCores(
             core::cpuHybridFromConfig(cfg).numCores, opts));
-    // App-major, so that the configs sharing an app's workload replay
-    // one recording of it, freed before the next app's.
-    for (size_t a = 0; a < suite.apps.size(); ++a) {
-        const workload::AppProfile &app = suite.apps[a];
-        const workload::SharedCpuRecordings recordings(
-            app, run_cores, opts.seed, opts.scale);
-        for (size_t c = 0; c < configs.size(); ++c) {
-            if (a == 0)
-                std::fprintf(stderr, "  running %s...\n",
-                             core::cpuConfigName(configs[c]));
-            suite.outcomes[c * suite.apps.size() + a] =
-                core::runCpuExperiment(configs[c], app, opts, nullptr,
-                                       nullptr,
-                                       recordings.find(run_cores[c]));
-        }
     }
+
+    // The recordings the configs sharing an app's workload replay:
+    // built by the first of the app's cells to run, freed after its
+    // last cell finishes.
+    struct AppRecordings
+    {
+        std::once_flag built;
+        std::optional<workload::SharedCpuRecordings> recordings;
+        std::atomic<size_t> cellsLeft;
+    };
+    std::vector<AppRecordings> shared(n_apps);
+    for (AppRecordings &app : shared)
+        app.cellsLeft = n_configs;
+
+    // Cells are claimed app-major, so the cells in flight belong to
+    // few apps and few recordings are alive at once. Each cell writes
+    // only its own outcome slot.
+    ThreadPool pool(ThreadPool::defaultThreads());
+    pool.parallelFor(n_configs * n_apps, [&](size_t cell) {
+        const size_t a = cell / n_configs;
+        const size_t c = cell % n_configs;
+        AppRecordings &app = shared[a];
+        std::call_once(app.built, [&] {
+            app.recordings.emplace(suite.apps[a], run_cores, opts.seed,
+                                   opts.scale);
+        });
+        suite.outcomes[c * n_apps + a] = core::runCpuExperiment(
+            configs[c], suite.apps[a], opts, nullptr, nullptr,
+            app.recordings->find(run_cores[c]));
+        if (--app.cellsLeft == 0) {
+            app.recordings.reset();
+            // The recording's memory returns to the allocator arena
+            // of the pool thread that built it, where the other
+            // threads cannot reuse it: give it back to the system.
+            malloc_trim(0);
+        }
+    });
     return suite;
 }
 

@@ -42,7 +42,9 @@ struct CpuSuite
     const core::CpuOutcome &baseline(size_t app) const;
 };
 
-/** Run a CPU suite (configs x all 14 paper apps). */
+/** Run a CPU suite (configs x all 14 paper apps). The cells run on
+ *  ThreadPool::defaultThreads() workers; every outcome is the one a
+ *  serial runCpuExperiment loop computes. */
 CpuSuite runCpuSuite(const std::vector<core::CpuConfig> &configs,
                      const core::ExperimentOptions &opts);
 

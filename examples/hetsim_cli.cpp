@@ -367,9 +367,12 @@ runOne(const Args &args, const std::string &config,
 {
     const bool gpu = args.cmd() == kGpu;
     obs::RunReport report;
-    obs::TraceBuffer trace(
-        static_cast<size_t>(args.count("trace-capacity")));
     const bool want_trace = args.has("trace-out");
+    // The ring exists only for --trace-out: at the default capacity
+    // it is 1.5 MiB.
+    std::optional<obs::TraceBuffer> trace;
+    if (want_trace)
+        trace.emplace(static_cast<size_t>(args.count("trace-capacity")));
 
     std::optional<core::ResultStore> store = openStoreArg(args);
     const std::string key = core::runKey(design_hash, workload, opts);
@@ -392,7 +395,7 @@ runOne(const Args &args, const std::string &config,
         // --report-json asked for it: a later warm hit needs it.
         const bool want_report = args.has("report-json") || store;
         rec = simulate(want_report ? &report : nullptr,
-                       want_trace ? &trace : nullptr);
+                       trace ? &*trace : nullptr);
         if (rec.status.code() == ErrorCode::Preempted) {
             std::printf("preempted at cycle %llu: checkpoint saved "
                         "to %s; rerun the same command to resume\n",
@@ -447,12 +450,13 @@ runOne(const Args &args, const std::string &config,
     }
     if (want_trace) {
         const std::string path = args.str("trace-out");
-        if (const Status s = obs::writeChromeTrace(trace, path); !s.ok())
+        if (const Status s = obs::writeChromeTrace(*trace, path);
+            !s.ok())
             dieOn(s);
         std::printf("trace: %s (%llu events kept, %llu dropped)\n",
                     path.c_str(),
-                    static_cast<unsigned long long>(trace.size()),
-                    static_cast<unsigned long long>(trace.dropped()));
+                    static_cast<unsigned long long>(trace->size()),
+                    static_cast<unsigned long long>(trace->dropped()));
     }
     const std::string csv = args.str("csv");
     if (!csv.empty() && !t.writeCsv(csv))

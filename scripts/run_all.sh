@@ -12,8 +12,9 @@ ctest --test-dir build --output-on-failure
 # or trips UB fails the run. The cache, branch-predictor, hierarchy
 # and contention tests are here because checkpoint restore indexes
 # their arrays with values read from payload bytes, and because a
-# cache poisons the lines of each set it has not filled, so a lookup
-# that skipped the live-set check fails them (and test_gpu); the
+# cache and a BTB keep each filled set's ways in a chunk behind a
+# per-set pointer (common/set_store.hh), where a way index past the
+# chunk's end reads a red zone (test_gpu covers the GPU caches); the
 # core, multicore and skip tests because the core's ring queues index
 # their slots with computed offsets; the GPU, wavefront and RF-cache
 # tests because the GPU run loop indexes per-CU wake cycles and each
@@ -21,6 +22,8 @@ ctest --test-dir build --output-on-failure
 # run records read back from the store, and that test feeds the record
 # decoder every prefix and bit flip of an encoding; the CPU workload
 # tests because replay cursors index a recording shared by many runs;
+# the CPU figure-suite test because its pool threads build, replay and
+# free each app's recording;
 # the FU-pool tests because the pool picks a unit array per op class;
 # hetsim_cli,
 # bench_fig10_gpu_time and cli_contracts because that test feeds the
@@ -32,18 +35,21 @@ cmake --build build-asan --target test_status test_trace_file \
       test_cache test_branch_pred test_hierarchy test_sync \
       test_ooo_core test_multicore test_skip test_gpu test_wavefront \
       test_rf_cache test_dse test_workload_cpu test_func_unit \
-      hetsim_cli bench_fig10_gpu_time
+      test_cpu_suite hetsim_cli bench_fig10_gpu_time
 ctest --test-dir build-asan --output-on-failure \
-      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_checkpoint|test_cache|test_branch_pred|test_hierarchy|test_sync|test_ooo_core|test_multicore|test_skip|test_gpu|test_wavefront|test_rf_cache|test_dse|test_workload_cpu|test_func_unit|cli_contracts'
+      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_checkpoint|test_cache|test_branch_pred|test_hierarchy|test_sync|test_ooo_core|test_multicore|test_skip|test_gpu|test_wavefront|test_rf_cache|test_dse|test_workload_cpu|test_func_unit|test_cpu_suite|cli_contracts'
 
-# Concurrency pass: the thread-pool, design-space-exploration, and
-# shared-memory contention tests under ThreadSanitizer, so a data race
-# in the parallel evaluator (whose pool threads share one recorded
-# workload) or the sync/contention subsystem fails the run.
+# Concurrency pass: the thread-pool, design-space-exploration, CPU
+# figure-suite and shared-memory contention tests under
+# ThreadSanitizer, so a data race in the parallel evaluator or the
+# figure suite (whose pool threads share recorded workloads, which
+# the last cell of an app frees) or in the sync/contention subsystem
+# fails the run.
 cmake -B build-tsan -G Ninja -DHETSIM_SANITIZE=thread
-cmake --build build-tsan --target test_thread_pool test_dse test_sync
+cmake --build build-tsan --target test_thread_pool test_dse \
+      test_cpu_suite test_sync
 ctest --test-dir build-tsan --output-on-failure \
-      -R 'test_thread_pool|test_dse|test_sync'
+      -R 'test_thread_pool|test_dse|test_cpu_suite|test_sync'
 
 # DSE smoke: a parallel exploration must print byte-identical output
 # to a serial one (the core/dse determinism contract).

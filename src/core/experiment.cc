@@ -275,8 +275,7 @@ runCpuBundle(const CpuConfigBundle &bundle_in,
         bundle.numCores = opts.coresOverride;
         bundle.sim.mem.numCores = opts.coresOverride;
     }
-    bundle.sim.watchdogCycles = opts.watchdogCycles;
-    bundle.sim.skipEnabled = !opts.noSkip;
+    applyChipOptions(bundle.sim, opts);
 
     hetsim_assert(recording == nullptr ||
                       recording->records(app, opts.seed, opts.scale),
@@ -389,8 +388,7 @@ runGpuBundle(const GpuConfigBundle &bundle_in,
              obs::TraceBuffer *trace)
 {
     GpuConfigBundle bundle = bundle_in;
-    bundle.sim.watchdogCycles = opts.watchdogCycles;
-    bundle.sim.skipEnabled = !opts.noSkip;
+    applyChipOptions(bundle.sim, opts);
 
     workload::SyntheticKernel k(kernel, opts.seed, opts.scale);
     auto gpu = std::make_unique<gpu::Gpu>(bundle.sim);

@@ -62,6 +62,17 @@ struct ExperimentOptions
     /** @} */
 };
 
+/** Set the options a chip applies itself, the cycle watchdog and
+ *  cycle skipping, on a cpu::MulticoreParams or gpu::GpuParams. Every
+ *  run builds its chip through this, a sweep's trace cells too. */
+template <typename ChipParams>
+void
+applyChipOptions(ChipParams &sim, const ExperimentOptions &opts)
+{
+    sim.watchdogCycles = opts.watchdogCycles;
+    sim.skipEnabled = !opts.noSkip;
+}
+
 /** The cores, and so the trace threads, of a CPU run under `opts` on
  *  a chip of `cores` cores: opts.coresOverride when set. */
 inline uint32_t

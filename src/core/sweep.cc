@@ -145,7 +145,7 @@ runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
             return recordOf(bundle.status());
         cpu::MulticoreParams sim = bundle.value().sim;
         sim.mem.numCores = 1;
-        sim.watchdogCycles = exp.watchdogCycles;
+        applyChipOptions(sim, exp);
         cpu::Multicore mc(sim, {trace.value().get()});
         const cpu::MulticoreResult run = mc.run();
         if (!trace.value()->status().ok())

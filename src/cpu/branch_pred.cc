@@ -1,7 +1,5 @@
 #include "cpu/branch_pred.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "common/serialize.hh"
 
@@ -14,8 +12,8 @@ BranchPredictor::BranchPredictor(const BranchPredParams &params)
       localPht_(1u << params.localHistoryBits, 1),
       globalPht_(1u << params.globalHistoryBits, 1),
       chooser_(1u << params.chooserBits, 2),
-      btb_(params.btbEntries),
       btbSets_(params.btbEntries / params.btbWays),
+      btb_(btbSets_, params.btbWays),
       ras_(params.rasEntries, 0),
       stats_("branch_pred"),
       lookups_(stats_.counter("lookups")),
@@ -100,10 +98,9 @@ BranchPredictor::predict(const MicroOp &op)
 
     if (pred.taken) {
         // Look up the target in the BTB.
-        const uint32_t set =
-            static_cast<uint32_t>(op.pc >> 2) % btbSets_;
-        const BtbEntry *base = &btb_[set * params_.btbWays];
-        for (uint32_t w = 0; w < params_.btbWays; ++w) {
+        const BtbEntry *base =
+            btb_.find(static_cast<uint32_t>(op.pc >> 2) % btbSets_);
+        for (uint32_t w = 0; base && w < params_.btbWays; ++w) {
             if (base[w].valid && base[w].pc == op.pc) {
                 pred.target = base[w].target;
                 pred.targetValid = true;
@@ -159,9 +156,8 @@ BranchPredictor::update(const MicroOp &op, const BranchPrediction &pred)
     const bool actually_taken =
         op.cls == OpClass::Branch ? op.taken : true;
     if (actually_taken) {
-        const uint32_t set =
-            static_cast<uint32_t>(op.pc >> 2) % btbSets_;
-        BtbEntry *base = &btb_[set * params_.btbWays];
+        BtbEntry *base = btb_.fill(
+            static_cast<uint32_t>(op.pc >> 2) % btbSets_, BtbEntry{});
         BtbEntry *victim = &base[0];
         for (uint32_t w = 0; w < params_.btbWays; ++w) {
             if (base[w].valid && base[w].pc == op.pc) {
@@ -219,7 +215,7 @@ BranchPredictor::saveState(Serializer &ser) const
     ser.putU32(static_cast<uint32_t>(localPht_.size()));
     ser.putU32(static_cast<uint32_t>(globalPht_.size()));
     ser.putU32(static_cast<uint32_t>(chooser_.size()));
-    ser.putU32(static_cast<uint32_t>(btb_.size()));
+    ser.putU32(params_.btbEntries);
     ser.putU32(static_cast<uint32_t>(ras_.size()));
     for (uint16_t h : localHistory_)
         ser.putU16(h);
@@ -230,20 +226,27 @@ BranchPredictor::saveState(Serializer &ser) const
     for (uint8_t c : chooser_)
         ser.putU8(c);
     ser.putU64(globalHistory_);
-    // Only valid BTB entries are written: lookups and the victim loop
-    // test `valid` first, and entries never go back to invalid.
+    // Only valid BTB entries are written, each under its set x ways +
+    // way index in ascending order: lookups and the victim loop test
+    // `valid` first, and entries never go back to invalid.
     uint32_t valid_entries = 0;
-    for (const BtbEntry &e : btb_)
-        valid_entries += e.valid ? 1 : 0;
+    for (uint32_t set = 0; set < btbSets_; ++set) {
+        const BtbEntry *base = btb_.find(set);
+        for (uint32_t w = 0; base && w < params_.btbWays; ++w)
+            valid_entries += base[w].valid ? 1 : 0;
+    }
     ser.putU32(valid_entries);
-    for (uint32_t i = 0; i < btb_.size(); ++i) {
-        const BtbEntry &e = btb_[i];
-        if (!e.valid)
-            continue;
-        ser.putU32(i);
-        ser.putU64(e.pc);
-        ser.putU64(e.target);
-        ser.putU64(e.lru);
+    for (uint32_t set = 0; set < btbSets_; ++set) {
+        const BtbEntry *base = btb_.find(set);
+        for (uint32_t w = 0; base && w < params_.btbWays; ++w) {
+            const BtbEntry &e = base[w];
+            if (!e.valid)
+                continue;
+            ser.putU32(set * params_.btbWays + w);
+            ser.putU64(e.pc);
+            ser.putU64(e.target);
+            ser.putU64(e.lru);
+        }
     }
     ser.putU64(btbLru_);
     for (uint64_t r : ras_)
@@ -262,7 +265,8 @@ BranchPredictor::restoreState(Deserializer &des)
         des.getU32() != localPht_.size() ||
         des.getU32() != globalPht_.size() ||
         des.getU32() != chooser_.size() ||
-        des.getU32() != btb_.size() || des.getU32() != ras_.size()) {
+        des.getU32() != params_.btbEntries ||
+        des.getU32() != ras_.size()) {
         des.fail("branch predictor geometry mismatch");
         return;
     }
@@ -275,10 +279,11 @@ BranchPredictor::restoreState(Deserializer &des)
     for (uint8_t &c : chooser_)
         c = des.getU8();
     globalHistory_ = des.getU64();
-    std::fill(btb_.begin(), btb_.end(), BtbEntry{});
-    SparseIndexReader valid(des, btb_.size());
+    btb_.clear();
+    SparseIndexReader valid(des, params_.btbEntries);
     for (size_t i = 0; valid.next(i);) {
-        BtbEntry &e = btb_[i];
+        const uint32_t set = static_cast<uint32_t>(i / params_.btbWays);
+        BtbEntry &e = btb_.fill(set, BtbEntry{})[i % params_.btbWays];
         e.pc = des.getU64();
         e.target = des.getU64();
         e.lru = des.getU64();

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/set_store.hh"
 #include "common/stats.hh"
 #include "cpu/microop.hh"
 
@@ -88,15 +89,19 @@ class BranchPredictor
     std::vector<uint8_t> chooser_;
     uint64_t globalHistory_ = 0;
 
+    /** Trivially constructible, as SetStore requires; BtbEntry{} is
+     *  an invalid entry. */
     struct BtbEntry
     {
-        uint64_t pc = 0;
-        uint64_t target = 0;
-        uint64_t lru = 0;
-        bool valid = false;
+        uint64_t pc;
+        uint64_t target;
+        uint64_t lru;
+        bool valid;
     };
-    std::vector<BtbEntry> btb_; ///< sets x ways.
     uint32_t btbSets_;
+    /** A set's ways are stored from the set's first allocation; a set
+     *  never allocated misses like one whose ways are all invalid. */
+    SetStore<BtbEntry> btb_;
     uint64_t btbLru_ = 0;
 
     std::vector<uint64_t> ras_;

@@ -1,24 +1,33 @@
 #include "mem/cache.hh"
 
-#include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
 
-// Under ASan the lines of a set that is not live are poisoned, so a
-// lookup that skips the live check reads a red zone instead of
-// silently reading uninitialized memory.
-#if defined(__SANITIZE_ADDRESS__)
-#include <sanitizer/asan_interface.h>
-#else
-#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
-#define ASAN_UNPOISON_MEMORY_REGION(addr, size) \
-    ((void)(addr), (void)(size))
-#endif
-
 namespace hetsim::mem
 {
+
+namespace
+{
+
+/** The set count of a cache geometry, which must be valid. */
+uint32_t
+setsOf(const CacheParams &p)
+{
+    hetsim_assert(p.lineBytes > 0 &&
+                  (p.lineBytes & (p.lineBytes - 1)) == 0,
+                  "line size must be a power of two");
+    hetsim_assert(p.ways > 0, "cache needs at least one way");
+    hetsim_assert(p.sizeBytes % (p.ways * p.lineBytes) == 0,
+                  "size not divisible into sets");
+    const uint32_t sets = p.sizeBytes / (p.ways * p.lineBytes);
+    hetsim_assert(sets >= 1, "cache needs at least one set");
+    return sets;
+}
+
+} // namespace
 
 Cache::CacheCounters::CacheCounters(StatGroup &sg)
     : accesses(sg.counter("accesses")),
@@ -37,22 +46,11 @@ Cache::CacheCounters::CacheCounters(StatGroup &sg)
 }
 
 Cache::Cache(const CacheParams &params)
-    : params_(params), stats_(params.name), ctrs_(stats_)
+    : params_(params), numSets_(setsOf(params)),
+      sets_(numSets_, params.ways), stats_(params.name), ctrs_(stats_)
 {
-    hetsim_assert(params_.lineBytes > 0 &&
-                  (params_.lineBytes & (params_.lineBytes - 1)) == 0,
-                  "line size must be a power of two");
-    hetsim_assert(params_.ways > 0, "cache needs at least one way");
-    hetsim_assert(params_.sizeBytes % (params_.ways * params_.lineBytes)
-                  == 0, "size not divisible into sets");
-    numSets_ = params_.sizeBytes / (params_.ways * params_.lineBytes);
-    hetsim_assert(numSets_ >= 1, "cache needs at least one set");
     if (std::has_single_bit(numSets_))
         setShift_ = std::countr_zero(numSets_);
-    lines_ = std::make_unique_for_overwrite<Line[]>(
-        static_cast<size_t>(numSets_) * params_.ways);
-    live_.resize(numSets_);
-    clearLive();
 }
 
 Cache::SetTag
@@ -89,9 +87,9 @@ Cache::rebuildAddr(uint32_t set, Addr tag) const
 Cache::Line *
 Cache::findLine(SetTag st)
 {
-    if (!live_[st.set])
+    Line *base = sets_.find(st.set);
+    if (!base)
         return nullptr;
-    Line *base = setBase(st.set);
     for (uint32_t w = 0; w < params_.ways; ++w) {
         if (base[w].valid() && base[w].tag == st.tag)
             return &base[w];
@@ -105,25 +103,13 @@ Cache::findLine(SetTag st) const
     return const_cast<Cache *>(this)->findLine(st);
 }
 
-void
-Cache::makeLive(uint32_t set)
+Cache::Line *
+Cache::fillSet(uint32_t set)
 {
     // Whole lines, not only the state: the asymmetric fill copies an
     // invalid way-0 line, and that copy must not read indeterminate
     // fields.
-    Line *base = setBase(set);
-    ASAN_UNPOISON_MEMORY_REGION(base, sizeof(Line) * params_.ways);
-    std::fill_n(base, params_.ways,
-                Line{0, CoherenceState::Invalid, false, 0});
-    live_[set] = 1;
-}
-
-void
-Cache::clearLive()
-{
-    std::fill(live_.begin(), live_.end(), uint8_t{0});
-    ASAN_POISON_MEMORY_REGION(
-        lines_.get(), sizeof(Line) * numSets_ * params_.ways);
+    return sets_.fill(set, Line{0, CoherenceState::Invalid, false, 0});
 }
 
 LookupResult
@@ -137,7 +123,7 @@ Cache::access(Addr addr)
         return {};
     }
 
-    Line *base = setBase(st.set);
+    Line *base = sets_.find(st.set);
     ++ctrs_.hits;
     LookupResult res;
     res.hit = true;
@@ -166,7 +152,7 @@ Cache::probe(Addr addr) const
     const Line *line = findLine(st);
     if (!line)
         return {};
-    return {true, params_.asymmetric && line == setBase(st.set),
+    return {true, params_.asymmetric && line == sets_.find(st.set),
             line->state};
 }
 
@@ -180,9 +166,7 @@ Cache::fill(Addr addr, CoherenceState state)
                   static_cast<unsigned long long>(addr));
     ++ctrs_.fills;
 
-    if (!live_[st.set])
-        makeLive(st.set);
-    Line *base = setBase(st.set);
+    Line *base = fillSet(st.set);
 
     // Pick the victim: an invalid way if any, else the LRU way among
     // the replacement candidates (the slow ways for asymmetric caches;
@@ -297,10 +281,8 @@ Cache::residentLines() const
 {
     uint32_t n = 0;
     for (uint32_t set = 0; set < numSets_; ++set) {
-        if (!live_[set])
-            continue;
-        const Line *base = setBase(set);
-        for (uint32_t w = 0; w < params_.ways; ++w)
+        const Line *base = sets_.find(set);
+        for (uint32_t w = 0; base && w < params_.ways; ++w)
             if (base[w].valid())
                 ++n;
     }
@@ -312,10 +294,8 @@ Cache::residentAddrs() const
 {
     std::vector<Addr> out;
     for (uint32_t set = 0; set < numSets_; ++set) {
-        if (!live_[set])
-            continue;
-        const Line *base = setBase(set);
-        for (uint32_t w = 0; w < params_.ways; ++w)
+        const Line *base = sets_.find(set);
+        for (uint32_t w = 0; base && w < params_.ways; ++w)
             if (base[w].valid())
                 out.push_back(rebuildAddr(set, base[w].tag));
     }
@@ -331,14 +311,13 @@ Cache::saveState(Serializer &ser) const
     ser.putU32(params_.ways);
     ser.putU64(stampCounter_);
     // Invalid lines are dead state (every reader tests valid() before
-    // a tag or stamp), so only resident lines are written, in array
-    // order; a set that is not live holds none.
+    // a tag or stamp), so only resident lines are written, each under
+    // its set x ways + way index in ascending order; a set that was
+    // never filled holds none.
     ser.putU32(residentLines());
     for (uint32_t set = 0; set < numSets_; ++set) {
-        if (!live_[set])
-            continue;
-        const Line *base = setBase(set);
-        for (uint32_t w = 0; w < params_.ways; ++w) {
+        const Line *base = sets_.find(set);
+        for (uint32_t w = 0; base && w < params_.ways; ++w) {
             const Line &l = base[w];
             if (!l.valid())
                 continue;
@@ -363,14 +342,12 @@ Cache::restoreState(Deserializer &des)
         return;
     }
     stampCounter_ = des.getU64();
-    clearLive();
+    sets_.clear();
     SparseIndexReader resident(
         des, static_cast<size_t>(numSets_) * params_.ways);
     for (size_t i = 0; resident.next(i);) {
         const uint32_t set = static_cast<uint32_t>(i / params_.ways);
-        if (!live_[set])
-            makeLive(set);
-        Line &l = lines_[i];
+        Line &l = fillSet(set)[i % params_.ways];
         l.tag = des.getU64();
         const uint8_t st = des.getU8();
         if (st == static_cast<uint8_t>(CoherenceState::Invalid) ||

@@ -15,10 +15,10 @@
 #define HETSIM_MEM_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/set_store.hh"
 #include "common/stats.hh"
 #include "mem/types.hh"
 
@@ -55,11 +55,12 @@ struct Eviction
 /**
  * Tag/state array of one cache level.
  *
- * The line array is allocated uninitialized, and a set's ways are
- * written (to invalid) only when the first line lands in that set. A
- * set that was never filled holds no resident line, so building,
- * destroying, checkpointing and restoring cost time in proportion to
- * the set count plus the sets a run fills, not to the line count.
+ * A set's ways are stored (written to invalid) only when the first
+ * line lands in that set (common/set_store.hh). A set that was never
+ * filled holds no resident line, so building, destroying,
+ * checkpointing and restoring cost time, and the array memory, in
+ * proportion to the set count plus the sets a run fills, not to the
+ * line count.
  */
 class Cache
 {
@@ -133,8 +134,8 @@ class Cache
     void restoreState(Deserializer &des);
 
   private:
-    /** Trivially constructible, so the array can be allocated without
-     *  initialization; a set's ways are written when it goes live. */
+    /** Trivially constructible, as SetStore requires; a set's ways
+     *  are written when the set is first filled. */
     struct Line
     {
         Addr tag;
@@ -154,22 +155,12 @@ class Cache
 
     SetTag locate(Addr addr) const;
     Addr rebuildAddr(uint32_t set, Addr tag) const;
-    Line *setBase(uint32_t set)
-    {
-        return &lines_[static_cast<size_t>(set) * params_.ways];
-    }
-    const Line *setBase(uint32_t set) const
-    {
-        return &lines_[static_cast<size_t>(set) * params_.ways];
-    }
     /** The resident line holding `st`, or nullptr (always for a set
-     *  that is not live). */
+     *  that was never filled). */
     Line *findLine(SetTag st);
     const Line *findLine(SetTag st) const;
-    /** Write every way of `set` to invalid and mark it live. */
-    void makeLive(uint32_t set);
-    /** Mark every set not live (poisoning the array under ASan). */
-    void clearLive();
+    /** The ways of `set`, stored as invalid lines on its first fill. */
+    Line *fillSet(uint32_t set);
 
     CacheParams params_;
     uint32_t numSets_;
@@ -177,10 +168,7 @@ class Cache
      *  (locate() then divides). */
     int setShift_ = -1;
     uint64_t stampCounter_ = 0;
-    /** numSets_ x ways, row-major; only the ways of live sets are
-     *  ever read. */
-    std::unique_ptr<Line[]> lines_;
-    std::vector<uint8_t> live_; ///< Per set: its ways were written.
+    SetStore<Line> sets_;
     StatGroup stats_;
 
     /** Hot-path counter handles (stable StatGroup references). */

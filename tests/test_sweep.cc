@@ -260,6 +260,49 @@ TEST(Sweep, GoodTraceCellReplays)
     EXPECT_GT(report.results[0].cycles, 0u);
 }
 
+// Every chip takes the watchdog and --no-skip through one function.
+// A sweep's trace cell used to copy the watchdog but not --no-skip, so
+// `sweep --no-skip 1` ran trace cells with cycle skipping while their
+// run key said skip=0.
+TEST(Sweep, ChipOptionsReachCpuAndGpuChips)
+{
+    ExperimentOptions opts;
+    opts.watchdogCycles = 1234;
+    opts.noSkip = true;
+    cpu::MulticoreParams cpu_sim;
+    applyChipOptions(cpu_sim, opts);
+    EXPECT_EQ(cpu_sim.watchdogCycles, 1234u);
+    EXPECT_FALSE(cpu_sim.skipEnabled);
+    gpu::GpuParams gpu_sim;
+    applyChipOptions(gpu_sim, opts);
+    EXPECT_EQ(gpu_sim.watchdogCycles, 1234u);
+    EXPECT_FALSE(gpu_sim.skipEnabled);
+
+    opts.noSkip = false;
+    applyChipOptions(cpu_sim, opts);
+    EXPECT_TRUE(cpu_sim.skipEnabled);
+}
+
+TEST(Sweep, NoSkipTraceCellMatchesTheSkippingOne)
+{
+    const TempFile file("sweep_noskip.trace");
+    workload::SyntheticCpuTrace src(workload::cpuApp("canneal"), 0, 1,
+                                    5, 0.05);
+    ASSERT_TRUE(workload::recordTrace(src, file.path(), 3000).ok());
+    SweepOptions opts;
+    opts.isolate = false;
+    const SweepReport skip =
+        runSweep({cpuTraceCell(CpuConfig::BaseTfet, file.path())}, opts);
+    opts.exp.noSkip = true;
+    const SweepReport ref =
+        runSweep({cpuTraceCell(CpuConfig::BaseTfet, file.path())}, opts);
+    ASSERT_EQ(skip.results[0].outcome, CellOutcome::Ok);
+    ASSERT_EQ(ref.results[0].outcome, CellOutcome::Ok);
+    EXPECT_EQ(skip.results[0].cycles, ref.results[0].cycles);
+    EXPECT_EQ(skip.results[0].ops, ref.results[0].ops);
+    EXPECT_EQ(skip.results[0].seconds, ref.results[0].seconds);
+}
+
 TEST(Sweep, GpuKernelCell)
 {
     SweepReport report = runSweep(
