@@ -59,7 +59,9 @@ struct GpuSuite
     const core::GpuOutcome &baseline(size_t kernel) const;
 };
 
-/** Run a GPU suite (configs x all paper kernels). */
+/** Run a GPU suite (configs x all paper kernels). The cells run on
+ *  at most two workers; every outcome is the one a serial
+ *  runGpuExperiment loop computes. */
 GpuSuite runGpuSuite(const std::vector<core::GpuConfig> &configs,
                      const core::ExperimentOptions &opts);
 

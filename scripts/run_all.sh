@@ -22,8 +22,9 @@ ctest --test-dir build --output-on-failure
 # run records read back from the store, and that test feeds the record
 # decoder every prefix and bit flip of an encoding; the CPU workload
 # tests because replay cursors index a recording shared by many runs;
-# the CPU figure-suite test because its pool threads build, replay and
-# free each app's recording;
+# the figure-suite test because the CPU suite's pool threads build,
+# replay and free each app's recording, and the GPU suite's pool
+# threads each write their own outcome slot;
 # the FU-pool tests because the pool picks a unit array per op class;
 # hetsim_cli,
 # bench_fig10_gpu_time and cli_contracts because that test feeds the
@@ -39,12 +40,13 @@ cmake --build build-asan --target test_status test_trace_file \
 ctest --test-dir build-asan --output-on-failure \
       -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_checkpoint|test_cache|test_branch_pred|test_hierarchy|test_sync|test_ooo_core|test_multicore|test_skip|test_gpu|test_wavefront|test_rf_cache|test_dse|test_workload_cpu|test_func_unit|test_cpu_suite|cli_contracts'
 
-# Concurrency pass: the thread-pool, design-space-exploration, CPU
+# Concurrency pass: the thread-pool, design-space-exploration,
 # figure-suite and shared-memory contention tests under
-# ThreadSanitizer, so a data race in the parallel evaluator or the
-# figure suite (whose pool threads share recorded workloads, which
-# the last cell of an app frees) or in the sync/contention subsystem
-# fails the run.
+# ThreadSanitizer, so a data race in the parallel evaluator, in the
+# CPU figure suite (whose pool threads share recorded workloads, which
+# the last cell of an app frees), in the GPU figure suite (whose two
+# pool threads simulate GPU cells side by side) or in the
+# sync/contention subsystem fails the run.
 cmake -B build-tsan -G Ninja -DHETSIM_SANITIZE=thread
 cmake --build build-tsan --target test_thread_pool test_dse \
       test_cpu_suite test_sync

@@ -1,5 +1,7 @@
 #include "common/thread_pool.hh"
 
+#include <sched.h>
+
 #include <atomic>
 
 #include "common/logging.hh"
@@ -78,6 +80,14 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
 unsigned
 ThreadPool::defaultThreads()
 {
+    // The CPUs this thread may run on, so a process pinned with
+    // taskset starts no more workers than it has CPUs.
+    cpu_set_t mask;
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+        const int n = CPU_COUNT(&mask);
+        if (n > 0)
+            return static_cast<unsigned>(n);
+    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

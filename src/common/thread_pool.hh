@@ -66,7 +66,9 @@ class ThreadPool
         return static_cast<unsigned>(workers_.size());
     }
 
-    /** A sensible default job count: the hardware concurrency. */
+    /** A sensible default job count: the CPUs in the calling
+     *  thread's affinity mask (the hardware concurrency when the mask
+     *  cannot be read). */
     static unsigned defaultThreads();
 
   private:

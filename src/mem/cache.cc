@@ -347,8 +347,14 @@ Cache::restoreState(Deserializer &des)
         des, static_cast<size_t>(numSets_) * params_.ways);
     for (size_t i = 0; resident.next(i);) {
         const uint32_t set = static_cast<uint32_t>(i / params_.ways);
+        const Addr tag = des.getU64();
+        const SetTag back = locate(rebuildAddr(set, tag));
+        if (back.set != set || back.tag != tag) {
+            des.fail("resident line with a tag no address maps to");
+            return;
+        }
         Line &l = fillSet(set)[i % params_.ways];
-        l.tag = des.getU64();
+        l.tag = tag;
         const uint8_t st = des.getU8();
         if (st == static_cast<uint8_t>(CoherenceState::Invalid) ||
             st > static_cast<uint8_t>(CoherenceState::Modified)) {

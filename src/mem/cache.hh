@@ -135,16 +135,20 @@ class Cache
 
   private:
     /** Trivially constructible, as SetStore requires; a set's ways
-     *  are written when the set is first filled. */
+     *  are written when the set is first filled. Tag, state and dirty
+     *  bit share one word: a tag is a line number (at most 58 bits)
+     *  divided by the set count, so 61 bits hold every tag locate()
+     *  produces, and restoreState() rejects any other. */
     struct Line
     {
-        Addr tag;
-        CoherenceState state;
-        bool dirty;
+        Addr tag : 61;
+        CoherenceState state : 2;
+        bool dirty : 1;
         uint64_t lruStamp;
 
         bool valid() const { return state != CoherenceState::Invalid; }
     };
+    static_assert(sizeof(Line) == 16);
 
     /** The set an address indexes and the tag it stores there. */
     struct SetTag

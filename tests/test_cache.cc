@@ -128,6 +128,39 @@ TEST(Cache, EvictedAddressRebuildsExactly)
         EXPECT_TRUE(inserted.count(e)) << std::hex << e;
 }
 
+TEST(Cache, WidestTagsRoundTrip)
+{
+    // One set: the tag is the whole line number, up to 2^58 - 1 for a
+    // 64-bit address, and every address must come back intact from
+    // lookups, enumeration and eviction.
+    Cache c({"wide", 4 * 64, 4, 64, false});
+    ASSERT_EQ(c.numSets(), 1u);
+    const Addr top = (uint64_t{1} << 58) - 1;
+    const std::vector<Addr> lines = {top, top - 1, uint64_t{1} << 57,
+                                     (uint64_t{1} << 40) + 5};
+    std::vector<Addr> addrs;
+    for (Addr line : lines) {
+        addrs.push_back(line << 6);
+        ASSERT_FALSE(c.fill(addrs.back(), CoherenceState::Exclusive).valid);
+    }
+    for (Addr a : addrs) {
+        ASSERT_TRUE(c.contains(a)) << std::hex << a;
+        EXPECT_EQ(c.stateOf(a), CoherenceState::Exclusive) << std::hex << a;
+    }
+    EXPECT_EQ(c.residentAddrs(), addrs); // ways fill in order
+    c.markDirty(addrs[0]);
+
+    // Each fill of a small line evicts the LRU wide line, in fill
+    // order, dirty bit included.
+    for (size_t i = 0; i < addrs.size(); ++i) {
+        const Eviction ev = c.fill(i << 6, CoherenceState::Shared);
+        ASSERT_TRUE(ev.valid);
+        EXPECT_EQ(ev.lineAddr, addrs[i]) << std::hex << ev.lineAddr;
+        EXPECT_EQ(ev.dirty, i == 0);
+        EXPECT_EQ(ev.state, CoherenceState::Exclusive);
+    }
+}
+
 TEST(Cache, InvalidateReturnsDirtyState)
 {
     Cache c(smallParams());
@@ -590,6 +623,39 @@ craftSection(const CacheParams &params, uint32_t count,
 }
 
 } // namespace
+
+/** A saved line whose tag locate() could not have produced (here
+ *  wider than any line number) fails the restore instead of being
+ *  truncated into another line. */
+TEST(CacheCheckpoint, ImpossibleTagIsRejected)
+{
+    const CacheParams params = smallParams();
+    Cache orig(params);
+    orig.fill(addrFor(2, 5), CoherenceState::Modified);
+    const std::string bytes = savedSection(orig);
+    {
+        Cache control(params);
+        ASSERT_TRUE(restoreSection(control, bytes).ok());
+        ASSERT_TRUE(control.contains(addrFor(2, 5)));
+    }
+
+    // The one resident line's tag follows the name (u64 length and
+    // bytes), the set and way counts, the stamp counter, the entry
+    // count and the line's index.
+    std::string patched = bytes;
+    ASSERT_TRUE(test::rewriteSection(
+        patched, "cache", [&](std::string &payload) {
+            const size_t at =
+                8 + params.name.size() + 4 + 4 + 8 + 4 + 4;
+            ASSERT_EQ(test::readLe(payload, at, 8), 5u);
+            test::writeLe(payload, at, 8, uint64_t{1} << 63);
+        }));
+    Cache c(params);
+    const Status st = restoreSection(c, patched);
+    EXPECT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("tag"), std::string::npos)
+        << st.toString();
+}
 
 TEST(CacheCheckpoint, CraftedSectionsAreRejected)
 {

@@ -1,12 +1,14 @@
 /**
  * @file
- * The CPU figure suite against a serial reference.
+ * The CPU and GPU figure suites against serial references.
  *
  * bench::runCpuSuite runs its config x app cells on the thread pool,
- * and the cells of one app replay one recording of its workload. The
- * reference is the plain loop the suite replaces: runCpuExperiment
- * per cell, one after another, each streaming from the generators.
- * Every cell must match it exactly.
+ * and the cells of one app replay one recording of its workload.
+ * bench::runGpuSuite runs its config x kernel cells on the pool too.
+ * Each reference is the plain loop its suite replaces:
+ * runCpuExperiment or runGpuExperiment per cell, one after another,
+ * the CPU cells each streaming from the generators. Every cell must
+ * match it exactly.
  */
 
 #include <gtest/gtest.h>
@@ -46,6 +48,35 @@ TEST(CpuSuite, PooledCellsMatchASerialStreamingLoop)
             EXPECT_EQ(got.app, ref.app);
             EXPECT_EQ(got.cycles, ref.cycles);
             EXPECT_EQ(got.committedOps, ref.committedOps);
+            EXPECT_EQ(std::bit_cast<uint64_t>(got.metrics.seconds),
+                      std::bit_cast<uint64_t>(ref.metrics.seconds));
+            EXPECT_EQ(std::bit_cast<uint64_t>(got.metrics.energyJ),
+                      std::bit_cast<uint64_t>(ref.metrics.energyJ));
+        }
+    }
+}
+
+TEST(GpuSuite, PooledCellsMatchASerialLoop)
+{
+    core::ExperimentOptions opts;
+    opts.scale = 0.05;
+    const std::vector<core::GpuConfig> &configs =
+        core::figure10Configs();
+
+    const bench::GpuSuite suite = bench::runGpuSuite(configs, opts);
+    ASSERT_EQ(suite.outcomes.size(),
+              configs.size() * suite.kernels.size());
+    ASSERT_EQ(suite.outcomes.size(), 50u);
+    for (size_t c = 0; c < configs.size(); ++c) {
+        for (size_t k = 0; k < suite.kernels.size(); ++k) {
+            const core::GpuOutcome ref = core::runGpuExperiment(
+                configs[c], suite.kernels[k], opts);
+            const core::GpuOutcome &got = suite.at(c, k);
+            SCOPED_TRACE(ref.config + "/" + ref.kernel);
+            EXPECT_EQ(got.config, ref.config);
+            EXPECT_EQ(got.kernel, ref.kernel);
+            EXPECT_EQ(got.cycles, ref.cycles);
+            EXPECT_EQ(got.issuedOps, ref.issuedOps);
             EXPECT_EQ(std::bit_cast<uint64_t>(got.metrics.seconds),
                       std::bit_cast<uint64_t>(ref.metrics.seconds));
             EXPECT_EQ(std::bit_cast<uint64_t>(got.metrics.energyJ),

@@ -1,10 +1,12 @@
 /**
  * @file
  * Unit tests for the ThreadPool concurrency substrate: inline mode,
- * task completion, parallelFor coverage, and reuse across waves.
+ * task completion, parallelFor coverage, reuse across waves, and the
+ * default worker count under a narrowed CPU affinity mask.
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -119,4 +121,24 @@ TEST(ThreadPool, WorkSpreadsAcrossThreads)
 TEST(ThreadPool, DefaultThreadsIsPositive)
 {
     EXPECT_GE(ThreadPool::defaultThreads(), 1u);
+}
+
+TEST(ThreadPool, DefaultThreadsFollowsTheAffinityMask)
+{
+    // A process pinned to one CPU (taskset -c N) must not start a
+    // worker per hardware thread.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned pinned = ThreadPool::defaultThreads();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_EQ(ThreadPool::defaultThreads(),
+              static_cast<unsigned>(CPU_COUNT(&saved)));
 }
