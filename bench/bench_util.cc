@@ -23,11 +23,10 @@ namespace
 {
 
 /** Workers of the GPU suite, set by memory rather than CPUs. At
- *  scale 0.15 (4 vCPUs, RelWithDebInfo) the serial suite peaked at
- *  4.27-4.41 MiB and each concurrent cell added about 0.3 MiB: 2
- *  workers peaked at 4.45-4.61 MiB and halved the wall time, 3 at
- *  4.74-4.89 MiB, which reaches 10% over the serial peak. */
-constexpr unsigned kGpuSuiteWorkers = 2;
+ *  scale 0.15 (4 vCPUs, RelWithDebInfo), with 8-byte cache lines, 3
+ *  workers peak at 4.54 MiB, where 2 did with 16-byte lines, and 4 at
+ *  4.94-4.98 MiB, too close to 10% over that (DESIGN.md section 9). */
+constexpr unsigned kGpuSuiteWorkers = 3;
 
 } // namespace
 

@@ -9,12 +9,16 @@ ctest --test-dir build --output-on-failure
 
 # Robustness pass: the fault-injection / recoverable-error tests again
 # under AddressSanitizer + UBSan, so a recovered error path that leaks
-# or trips UB fails the run. The cache, branch-predictor, hierarchy
-# and contention tests are here because checkpoint restore indexes
-# their arrays with values read from payload bytes, and because a
-# cache and a BTB keep each filled set's ways in a chunk behind a
-# per-set pointer (common/set_store.hh), where a way index past the
-# chunk's end reads a red zone (test_gpu covers the GPU caches); the
+# or trips UB fails the run. UBSan is built not to recover
+# (CMakeLists.txt), so its first report ends the test with an error
+# instead of printing a line and passing. The cache, branch-predictor,
+# hierarchy and contention tests are here because checkpoint restore
+# indexes their arrays (and a cache's recency ranks) with values read
+# from payload bytes, and because a cache and a BTB keep each filled
+# set's ways in a chunk behind a per-set pointer
+# (common/set_store.hh), a cache with its ranks after them, where a
+# way or rank index past the chunk's end reads a red zone (test_gpu
+# covers the GPU caches); the
 # core, multicore and skip tests because the core's ring queues index
 # their slots with computed offsets; the GPU, wavefront and RF-cache
 # tests because the GPU run loop indexes per-CU wake cycles and each
@@ -44,7 +48,7 @@ ctest --test-dir build-asan --output-on-failure \
 # figure-suite and shared-memory contention tests under
 # ThreadSanitizer, so a data race in the parallel evaluator, in the
 # CPU figure suite (whose pool threads share recorded workloads, which
-# the last cell of an app frees), in the GPU figure suite (whose two
+# the last cell of an app frees), in the GPU figure suite (whose three
 # pool threads simulate GPU cells side by side) or in the
 # sync/contention subsystem fails the run.
 cmake -B build-tsan -G Ninja -DHETSIM_SANITIZE=thread

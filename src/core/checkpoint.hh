@@ -50,8 +50,10 @@ namespace hetsim::core
  *  changes; older files are quarantined, never reinterpreted.
  *  v2: sync-controller section + core barrier/sync park fields.
  *  v3: caches and the BTB write only live entries (sparse sections);
- *      the chip section records the run loop's unfinished-core count. */
-constexpr uint32_t kCheckpointSchemaVersion = 3;
+ *      the chip section records the run loop's unfinished-core count.
+ *  v4: a cache line carries a u8 recency rank instead of a u64 LRU
+ *      stamp, and the cache section drops the stamp counter. */
+constexpr uint32_t kCheckpointSchemaVersion = 4;
 
 /** Canonical checkpoint filename extension. */
 constexpr const char *kCheckpointSuffix = ".hckp";

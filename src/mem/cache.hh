@@ -61,6 +61,15 @@ struct Eviction
  * checkpointing and restoring cost time, and the array memory, in
  * proportion to the set count plus the sets a run fills, not to the
  * line count.
+ *
+ * Replacement order is a recency rank per way, one byte each, kept
+ * after the set's lines in the same stored block. Rank 0 is the MRU
+ * way; the k resident lines of a set hold ranks 0..k-1 and its
+ * invalid ways the rest. A hit or fill moves its way to rank 0, an
+ * invalidation sinks its way to the last rank, and a line moved
+ * between ways (asymmetric promotion or demotion) takes its rank
+ * along. The victim is the highest-ranked candidate: the least
+ * recently touched resident line.
  */
 class Cache
 {
@@ -126,10 +135,11 @@ class Cache
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
 
-    /** Serialize the resident lines (tag, state, dirty, LRU stamp,
-     *  each keyed by its array index) and stats into a named
+    /** Serialize the resident lines (tag, state, dirty, recency
+     *  rank, each keyed by its array index) and stats into a named
      *  checkpoint section. Restore requires identical geometry,
-     *  empties the array, then applies the written lines. */
+     *  empties the array, then applies the written lines; each
+     *  set's resident ranks must be exactly 0..k-1. */
     void saveState(Serializer &ser) const;
     void restoreState(Deserializer &des);
 
@@ -144,11 +154,25 @@ class Cache
         Addr tag : 61;
         CoherenceState state : 2;
         bool dirty : 1;
-        uint64_t lruStamp;
 
         bool valid() const { return state != CoherenceState::Invalid; }
     };
-    static_assert(sizeof(Line) == 16);
+    static_assert(sizeof(Line) == 8);
+
+    /** Line-sized words after a set's lines that hold its ranks. */
+    static uint32_t rankWords(uint32_t ways)
+    {
+        return (ways + sizeof(Line) - 1) / sizeof(Line);
+    }
+    /** The recency ranks of a stored set, one byte per way. */
+    uint8_t *ranksOf(Line *base)
+    {
+        return reinterpret_cast<uint8_t *>(base + params_.ways);
+    }
+    const uint8_t *ranksOf(const Line *base) const
+    {
+        return reinterpret_cast<const uint8_t *>(base + params_.ways);
+    }
 
     /** The set an address indexes and the tag it stores there. */
     struct SetTag
@@ -163,15 +187,22 @@ class Cache
      *  that was never filled). */
     Line *findLine(SetTag st);
     const Line *findLine(SetTag st) const;
-    /** The ways of `set`, stored as invalid lines on its first fill. */
+    /** The ways of `set`, stored as invalid lines ranked in way
+     *  order on its first fill. */
     Line *fillSet(uint32_t set);
+    /** Invalidate the resident `line` of `set` and sink its rank. */
+    void drop(uint32_t set, Line *line);
+    /** Check a restored set's resident ranks and rank its invalid
+     *  ways after them; false, with `des` failed, if they are not
+     *  0..k-1. */
+    bool checkRanks(Line *base, Deserializer &des);
 
     CacheParams params_;
     uint32_t numSets_;
     /** log2(numSets_) when the set count is a power of two, else -1
      *  (locate() then divides). */
     int setShift_ = -1;
-    uint64_t stampCounter_ = 0;
+    /** Each stored set: its lines, then rankWords(ways) of ranks. */
     SetStore<Line> sets_;
     StatGroup stats_;
 

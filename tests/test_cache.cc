@@ -434,6 +434,233 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<1>(info.param));
     });
 
+// ---------------- Differential test vs per-line LRU stamps ---------
+
+namespace
+{
+
+/** The replacement rules written with a 64-bit stamp per line: a hit
+ *  or fill stamps its line from a counter, an asymmetric promotion
+ *  swaps the hit line with way 0, a fill demotes way 0 into the victim
+ *  slot, and the victim is the first invalid candidate, else the
+ *  candidate with the smallest stamp. Lines hold full line addresses,
+ *  so the model shares only the set index with Cache. */
+class StampCache
+{
+  public:
+    StampCache(uint32_t sets, uint32_t ways, bool asym)
+        : sets_(sets), ways_(ways), asym_(asym), lines_(sets * ways)
+    {
+    }
+
+    LookupResult
+    access(Addr addr)
+    {
+        const uint32_t set = foldedSet(addr, sets_);
+        int w = find(addr, set);
+        if (w < 0)
+            return {};
+        Way *base = &lines_[set * ways_];
+        LookupResult res{true, asym_ && w == 0, base[w].state};
+        if (asym_ && w != 0) {
+            std::swap(base[w], base[0]);
+            w = 0;
+        }
+        base[w].stamp = ++counter_;
+        return res;
+    }
+
+    Eviction
+    fill(Addr addr, CoherenceState state)
+    {
+        const uint32_t set = foldedSet(addr, sets_);
+        Way *base = &lines_[set * ways_];
+        const bool demote = asym_ && ways_ > 1;
+        const uint32_t first = demote ? 1 : 0;
+        Way *victim = nullptr;
+        for (uint32_t w = first; w < ways_ && !victim; ++w)
+            if (!base[w].valid())
+                victim = &base[w];
+        if (!victim) {
+            victim = &base[first];
+            for (uint32_t w = first + 1; w < ways_; ++w)
+                if (base[w].stamp < victim->stamp)
+                    victim = &base[w];
+        }
+        Eviction ev;
+        if (victim->valid())
+            ev = {true, victim->line << 6, victim->dirty, victim->state};
+        const Way incoming{lineNumber(addr), state, false, ++counter_};
+        if (demote) {
+            *victim = base[0];
+            base[0] = incoming;
+        } else {
+            *victim = incoming;
+        }
+        return ev;
+    }
+
+    bool
+    invalidate(Addr addr)
+    {
+        Way *l = line(addr);
+        if (!l)
+            return false;
+        const bool was_dirty = l->dirty;
+        l->state = CoherenceState::Invalid;
+        l->dirty = false;
+        return was_dirty;
+    }
+
+    bool
+    downgradeToShared(Addr addr)
+    {
+        Way *l = line(addr);
+        if (!l)
+            return false;
+        const bool was_dirty = l->dirty;
+        l->state = CoherenceState::Shared;
+        l->dirty = false;
+        return was_dirty;
+    }
+
+    void
+    setState(Addr addr, CoherenceState state)
+    {
+        Way *l = line(addr);
+        l->state = state;
+        if (state == CoherenceState::Invalid)
+            l->dirty = false;
+    }
+
+    void markDirty(Addr addr) { line(addr)->dirty = true; }
+    bool contains(Addr addr) { return line(addr) != nullptr; }
+
+  private:
+    struct Way
+    {
+        Addr line = 0;
+        CoherenceState state = CoherenceState::Invalid;
+        bool dirty = false;
+        uint64_t stamp = 0;
+
+        bool valid() const { return state != CoherenceState::Invalid; }
+    };
+
+    int
+    find(Addr addr, uint32_t set) const
+    {
+        for (uint32_t w = 0; w < ways_; ++w) {
+            const Way &l = lines_[set * ways_ + w];
+            if (l.valid() && l.line == lineNumber(addr))
+                return static_cast<int>(w);
+        }
+        return -1;
+    }
+
+    Way *
+    line(Addr addr)
+    {
+        const uint32_t set = foldedSet(addr, sets_);
+        const int w = find(addr, set);
+        return w < 0 ? nullptr : &lines_[set * ways_ + w];
+    }
+
+    uint32_t sets_, ways_;
+    bool asym_;
+    std::vector<Way> lines_;
+    uint64_t counter_ = 0;
+};
+
+} // namespace
+
+/** Set count, associativity and mode of one differential run. */
+using StampCase = std::tuple<uint32_t, uint32_t, bool>;
+
+class CacheStampModelTest : public ::testing::TestWithParam<StampCase>
+{
+};
+
+/** Fills, hits, stores, downgrades and both kinds of invalidation
+ *  through a Cache and the stamp model: every hit, fast hit, state,
+ *  eviction and dirty report must agree, so the ranks pick exactly
+ *  the victims the stamps pick. */
+TEST_P(CacheStampModelTest, MatchesPerLineStamps)
+{
+    const auto [sets, ways, asym] = GetParam();
+    Cache c({"diff", sets * ways * 64, ways, 64, asym});
+    ASSERT_EQ(c.numSets(), sets);
+    StampCache ref(sets, ways, asym);
+    Rng rng(sets * 131 + ways * 7 + asym);
+    // Three lines of traffic per way: hits, evictions and refills.
+    const uint64_t lines = uint64_t{sets} * ways * 3;
+    uint64_t evictions = 0;
+
+    for (int i = 0; i < 40000; ++i) {
+        const Addr a = rng.range(lines) << 6;
+        const std::string at = "step " + std::to_string(i);
+        switch (rng.range(10)) {
+          case 0:
+            ASSERT_EQ(c.invalidate(a), ref.invalidate(a)) << at;
+            break;
+          case 1:
+            ASSERT_EQ(c.downgradeToShared(a), ref.downgradeToShared(a))
+                << at;
+            break;
+          case 2:
+            ASSERT_EQ(c.contains(a), ref.contains(a)) << at;
+            if (c.contains(a)) {
+                const CoherenceState s =
+                    static_cast<CoherenceState>(rng.range(4));
+                c.setState(a, s);
+                ref.setState(a, s);
+            }
+            break;
+          default: {
+            const LookupResult x = ref.access(a);
+            const LookupResult y = c.access(a);
+            ASSERT_EQ(y.hit, x.hit) << at;
+            ASSERT_EQ(y.fastHit, x.fastHit) << at;
+            ASSERT_EQ(y.state, x.state) << at;
+            if (!x.hit) {
+                const CoherenceState s = rng.range(2)
+                    ? CoherenceState::Exclusive
+                    : CoherenceState::Shared;
+                const Eviction ex = ref.fill(a, s);
+                const Eviction ey = c.fill(a, s);
+                ASSERT_EQ(ey.valid, ex.valid) << at;
+                ASSERT_EQ(ey.lineAddr, ex.lineAddr) << at;
+                ASSERT_EQ(ey.dirty, ex.dirty) << at;
+                ASSERT_EQ(ey.state, ex.state) << at;
+                evictions += ex.valid;
+            }
+            if (rng.range(4) == 0) {
+                c.markDirty(a);
+                ref.markDirty(a);
+            }
+            break;
+          }
+        }
+    }
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(c.stats().value("invalidations"), 0u);
+    if (asym && ways > 1) {
+        EXPECT_GT(c.stats().value("promotions"), 0u);
+        EXPECT_GT(c.stats().value("demotions"), 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheStampModelTest,
+    ::testing::Combine(::testing::Values(1u, 8u, 6u),
+                       ::testing::Values(1u, 2u, 4u, 8u, 16u),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<StampCase> &info) {
+        return std::to_string(std::get<0>(info.param)) + "Sets" +
+               std::to_string(std::get<1>(info.param)) + "Ways" +
+               (std::get<2>(info.param) ? "Asymmetric" : "Uniform");
+    });
+
 // ---------------- Checkpoint section (resident lines only) --------
 
 namespace
@@ -593,11 +820,12 @@ struct CraftedLine
 {
     uint32_t index;
     uint8_t state;
+    uint8_t rank = 0;
 };
 
-/** A hand-built "cache" section in the sparse layout: geometry, stamp
- *  counter, entry count, then (index, tag, state, dirty, stamp) per
- *  entry, then the stats of a fresh cache. */
+/** A hand-built "cache" section in the sparse layout: geometry, entry
+ *  count, then (index, tag, state, dirty, rank) per entry, then the
+ *  stats of a fresh cache. */
 std::string
 craftSection(const CacheParams &params, uint32_t count,
              const std::vector<CraftedLine> &lines)
@@ -608,14 +836,13 @@ craftSection(const CacheParams &params, uint32_t count,
     ser.putString(params.name);
     ser.putU32(fresh.numSets());
     ser.putU32(params.ways);
-    ser.putU64(64);
     ser.putU32(count);
     for (const CraftedLine &l : lines) {
         ser.putU32(l.index);
         ser.putU64(l.index + 1);
         ser.putU8(l.state);
         ser.putBool(false);
-        ser.putU64(l.index + 1);
+        ser.putU8(l.rank);
     }
     fresh.stats().saveState(ser);
     ser.endSection();
@@ -640,13 +867,12 @@ TEST(CacheCheckpoint, ImpossibleTagIsRejected)
     }
 
     // The one resident line's tag follows the name (u64 length and
-    // bytes), the set and way counts, the stamp counter, the entry
-    // count and the line's index.
+    // bytes), the set and way counts, the entry count and the line's
+    // index.
     std::string patched = bytes;
     ASSERT_TRUE(test::rewriteSection(
         patched, "cache", [&](std::string &payload) {
-            const size_t at =
-                8 + params.name.size() + 4 + 4 + 8 + 4 + 4;
+            const size_t at = 8 + params.name.size() + 4 + 4 + 4 + 4;
             ASSERT_EQ(test::readLe(payload, at, 8), 5u);
             test::writeLe(payload, at, 8, uint64_t{1} << 63);
         }));
@@ -666,14 +892,17 @@ TEST(CacheCheckpoint, CraftedSectionsAreRejected)
     };
     const uint8_t shared = byte(CoherenceState::Shared);
 
-    // Control: the crafted layout is one restore accepts.
+    // Control: the crafted layout is one restore accepts. Indices 1
+    // and 2 share set 0 and rank 1 then 0; index 15 is alone in set 3.
     Cache control(params);
     const Status good = restoreSection(
         control,
-        craftSection(params, 2,
-                     {{3, shared}, {15, byte(CoherenceState::Modified)}}));
+        craftSection(params, 3,
+                     {{1, shared, 1},
+                      {2, shared, 0},
+                      {15, byte(CoherenceState::Modified), 0}}));
     ASSERT_TRUE(good.ok()) << good.toString();
-    EXPECT_EQ(control.residentLines(), 2u);
+    EXPECT_EQ(control.residentLines(), 3u);
 
     struct Case
     {
@@ -692,6 +921,10 @@ TEST(CacheCheckpoint, CraftedSectionsAreRejected)
         {"invalid state", 1, {{3, byte(CoherenceState::Invalid)}},
          "coherence state"},
         {"unknown state", 1, {{3, 4}}, "coherence state"},
+        {"repeated rank", 2, {{1, shared, 0}, {2, shared, 0}}, "rank"},
+        {"rank at the resident count", 2,
+         {{1, shared, 0}, {2, shared, 2}}, "rank"},
+        {"rank of a lone line", 1, {{3, shared, 1}}, "rank"},
     };
     for (const Case &k : cases) {
         Cache c(params);

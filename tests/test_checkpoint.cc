@@ -20,16 +20,23 @@
 #include <cstdio>
 #include <cstdlib>
 #include <csignal>
+#include <functional>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
+#include "common/serialize.hh"
 #include "core/checkpoint.hh"
 #include "core/configs.hh"
 #include "core/experiment.hh"
 #include "core/result_store.hh"
+#include "cpu/multicore.hh"
+#include "gpu/gpu.hh"
 #include "workload/cpu_profiles.hh"
+#include "workload/cpu_trace_gen.hh"
 #include "workload/fault_inject.hh"
+#include "workload/gpu_kernel_gen.hh"
 #include "workload/gpu_profiles.hh"
 #include "workload/trace_file.hh"
 #include "checkpoint_sections.hh"
@@ -598,6 +605,115 @@ INSTANTIATE_TEST_SUITE_P(
                    name.end());
         return name + "_" + std::get<1>(info.param);
     });
+
+// ------------------- Checkpoint bytes after a resume ----------------
+
+namespace
+{
+
+/** A hook that appends every periodic payload to `payloads`. */
+CheckpointHook
+collectPayloads(std::vector<std::string> &payloads, uint64_t every)
+{
+    CheckpointHook hook;
+    hook.everyCycles = every;
+    hook.save = [&payloads](uint64_t, const std::string &payload) {
+        payloads.push_back(payload);
+    };
+    return hook;
+}
+
+/** The periodic payloads of a run of `app` on `bundle`, from a fresh
+ *  chip or one restored from `from`. */
+std::vector<std::string>
+cpuPayloads(const CpuConfigBundle &bundle, const workload::AppProfile &app,
+            double scale, uint64_t every, const std::string *from)
+{
+    auto traces = workload::makeCpuWorkload(app, bundle.numCores, 1, scale);
+    std::vector<cpu::TraceSource *> ptrs;
+    for (auto &t : traces)
+        ptrs.push_back(t.get());
+    cpu::Multicore mc(bundle.sim, ptrs);
+    if (from != nullptr) {
+        Deserializer des(*from);
+        EXPECT_TRUE(mc.restoreState(des)) << des.status().toString();
+    }
+    std::vector<std::string> payloads;
+    mc.setCheckpointHook(collectPayloads(payloads, every));
+    mc.run();
+    return payloads;
+}
+
+std::vector<std::string>
+gpuPayloads(const GpuConfigBundle &bundle,
+            const workload::KernelProfile &kernel, double scale,
+            uint64_t every, const std::string *from)
+{
+    workload::SyntheticKernel k(kernel, 1, scale);
+    gpu::Gpu gpu(bundle.sim);
+    if (from != nullptr) {
+        Deserializer des(*from);
+        EXPECT_TRUE(gpu.restoreState(des)) << des.status().toString();
+    }
+    std::vector<std::string> payloads;
+    gpu.setCheckpointHook(collectPayloads(payloads, every));
+    gpu.run(k);
+    return payloads;
+}
+
+/** Resume from each of `twin`'s payloads but the last: the resumed
+ *  run must write exactly the twin's later payloads. */
+void
+expectResumesWriteTwinBytes(
+    const std::vector<std::string> &twin,
+    const std::function<std::vector<std::string>(const std::string &)>
+        &resume)
+{
+    ASSERT_GE(twin.size(), 3u);
+    for (size_t k = 0; k + 1 < twin.size(); ++k) {
+        const std::vector<std::string> later = resume(twin[k]);
+        ASSERT_EQ(later.size(), twin.size() - k - 1) << "from " << k;
+        for (size_t j = 0; j < later.size(); ++j) {
+            EXPECT_TRUE(later[j] == twin[k + 1 + j])
+                << "resumed from " << k << ", save " << k + 1 + j;
+        }
+    }
+}
+
+} // namespace
+
+/** A run resumed from any periodic checkpoint writes its later
+ *  checkpoints byte-identical to its uninterrupted twin's. A restored
+ *  cache ranks its invalid ways afresh, and a restored chip holds no
+ *  state that was not saved, so this holds only if every saved byte,
+ *  the caches' recency ranks included, depends on the simulated
+ *  machine alone. AdvHet lock_heavy brings MESI invalidations and the
+ *  asymmetric DL1's promotions and demotions. */
+TEST(ResumedCheckpoints, CpuResumeWritesTheTwinsBytes)
+{
+    const CpuConfigBundle bundle = makeCpuConfig(CpuConfig::AdvHet);
+    const auto &app = workload::cpuApp("lock_heavy");
+    const double scale = 0.05; // about 42k cycles
+    const uint64_t every = 5000;
+    expectResumesWriteTwinBytes(
+        cpuPayloads(bundle, app, scale, every, nullptr),
+        [&](const std::string &from) {
+            return cpuPayloads(bundle, app, scale, every, &from);
+        });
+}
+
+TEST(ResumedCheckpoints, GpuResumeWritesTheTwinsBytes)
+{
+    const GpuConfigBundle bundle = makeGpuConfig(GpuConfig::AdvHet);
+    const auto &kernel = workload::gpuKernel("reduction");
+    const double scale = 0.2; // about 26k cycles
+    const uint64_t every = 3000;
+    expectResumesWriteTwinBytes(
+        gpuPayloads(bundle, kernel, scale, every, nullptr),
+        [&](const std::string &from) {
+            return gpuPayloads(bundle, kernel, scale, every, &from);
+        });
+}
 
 // ------------------- Recorded workloads -----------------------------
 
