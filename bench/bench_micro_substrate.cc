@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks of the simulation substrate itself:
  * cache access throughput, branch-predictor throughput, OoO core
- * simulation speed, and GPU compute-unit simulation speed. These guard
+ * simulation speed, GPU compute-unit simulation speed, and the
+ * checksums and serialization a checkpoint save runs. These guard
  * against performance regressions in the simulator (the figure benches
  * above measure the *simulated* machine, not the simulator).
  */
@@ -10,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hh"
+#include "common/serialize.hh"
 #include "common/stats.hh"
 #include "core/configs.hh"
 #include "cpu/branch_pred.hh"
@@ -233,6 +235,74 @@ BENCHMARK(BM_GpuSimThroughput)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+/** About one 4-core checkpoint payload. */
+constexpr size_t kChecksumBytes = 150 * 1024;
+
+std::string
+randomBytes(size_t n)
+{
+    Rng rng(11);
+    std::string bytes(n, '\0');
+    for (char &c : bytes)
+        c = static_cast<char>(rng.range(256));
+    return bytes;
+}
+
+void
+BM_Fnv1a(benchmark::State &state)
+{
+    // The byte-serial hash checkpoints used before checksum64.
+    const std::string bytes = randomBytes(kChecksumBytes);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(fnv1a(bytes));
+    state.SetBytesProcessed(state.iterations() * bytes.size());
+}
+BENCHMARK(BM_Fnv1a);
+
+void
+BM_Checksum64(benchmark::State &state)
+{
+    const std::string bytes = randomBytes(kChecksumBytes);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(checksum64(bytes));
+    state.SetBytesProcessed(state.iterations() * bytes.size());
+}
+BENCHMARK(BM_Checksum64);
+
+void
+BM_CheckpointSerialize(benchmark::State &state)
+{
+    // The bulk of a 4-core checkpoint: an AdvHet hierarchy and four
+    // branch predictors, warmed by a prodcons run, saved into one
+    // reused buffer the way Multicore::run saves.
+    const auto found = workload::findCpuApp("prodcons");
+    if (!found.ok()) {
+        state.SkipWithError(found.status().toString().c_str());
+        return;
+    }
+    auto bundle = core::makeCpuConfig(core::CpuConfig::AdvHet);
+    auto traces = workload::makeCpuWorkload(*found.value(),
+                                            bundle.numCores, 1, 0.2);
+    std::vector<cpu::TraceSource *> ptrs;
+    for (auto &t : traces)
+        ptrs.push_back(t.get());
+    cpu::Multicore mc(bundle.sim, ptrs);
+    mc.run();
+    std::string buf;
+    for (auto _ : state) {
+        Serializer ser(std::move(buf));
+        mc.hierarchy().saveState(ser);
+        for (uint32_t c = 0; c < mc.numCores(); ++c)
+            mc.core(c).branchPredictor().saveState(ser);
+        buf = ser.take();
+        benchmark::DoNotOptimize(buf.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * buf.size());
+    state.counters["payload_bytes"] = static_cast<double>(buf.size());
+}
+BENCHMARK(BM_CheckpointSerialize);
 
 } // namespace
 

@@ -2,13 +2,16 @@
  * @file
  * Byte-level serialization helpers for checkpoints and run records.
  *
- * Serializer appends fixed-width little-endian scalars and
- * length-prefixed byte strings to a growing buffer, grouped into named
- * *sections*. Each section carries its own length and FNV-1a checksum,
- * so a reader can verify every component's bytes independently and a
- * schema drift (a component serializing more or fewer fields than the
- * reader expects) is caught at the section boundary instead of
- * corrupting every later field.
+ * Serializer appends fixed-width little-endian scalars, dense byte
+ * runs and length-prefixed byte strings to a buffer, grouped into
+ * named *sections*. Each section carries its own length and
+ * checksum64, so a reader can verify every component's bytes
+ * independently and a schema drift (a component serializing more or
+ * fewer fields than the reader expects) is caught at the section
+ * boundary instead of corrupting every later field. A writer that
+ * hands each finished buffer back to the next Serializer writes into
+ * memory it already owns, so a periodic checkpoint costs about what
+ * copying its bytes costs.
  *
  * Deserializer is the sticky-error mirror: reads return values
  * directly and a failed read (bounds, section name, checksum) latches
@@ -31,6 +34,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.hh"
@@ -38,14 +42,33 @@
 namespace hetsim
 {
 
-/** 64-bit FNV-1a over a byte range: the checksum of checkpoint
- *  sections and store entries, and the DSE design hash. */
+/** 64-bit FNV-1a over a byte range: the DSE design hash, the
+ *  sweep's file names for run keys, and the result store's entry
+ *  checksums. Byte-serial, so meant for short or pinned inputs. */
 uint64_t fnv1a(const void *data, size_t n);
 
 inline uint64_t
 fnv1a(std::string_view s)
 {
     return fnv1a(s.data(), s.size());
+}
+
+/**
+ * 64-bit checksum of checkpoint sections, run records and the
+ * checkpoint file's key and payload: XXH64 with seed 0. Four
+ * independent multiply-rotate lanes each take one 8-byte
+ * little-endian word of every 32-byte round, so their multiplies
+ * overlap where FNV-1a's one multiply per byte cannot; the lanes are
+ * merged, the tail mixed in, and a full-avalanche finalizer spreads
+ * every input bit over the result. Words are loaded with memcpy, so
+ * any alignment is fine.
+ */
+uint64_t checksum64(const void *data, size_t n);
+
+inline uint64_t
+checksum64(std::string_view s)
+{
+    return checksum64(s.data(), s.size());
 }
 
 /**
@@ -84,6 +107,13 @@ struct CheckpointHook
 class Serializer
 {
   public:
+    Serializer() = default;
+
+    /** Write into `buf`'s memory, discarding its bytes. Handing each
+     *  take()n buffer to the next Serializer spares every later
+     *  stream of about the same size from growing its buffer. */
+    explicit Serializer(std::string buf) : buf_(std::move(buf)) {}
+
     /** Open a named section; every put until endSection() lands in
      *  it. Sections do not nest. */
     void beginSection(const char *name);
@@ -107,11 +137,16 @@ class Serializer
         putU64(bits);
     }
 
+    /** A dense run of `n` bytes with no length prefix; the reader
+     *  must know `n`. */
+    void putBytes(const void *p, size_t n) { putRaw(p, n); }
+
     /** Length-prefixed byte string. */
     void putString(std::string_view s);
 
-    /** The serialized bytes (valid once every section is closed). */
-    const std::string &data() const { return buf_; }
+    /** The buffer, holding exactly the serialized bytes (every
+     *  section must be closed); this Serializer is left empty. */
+    std::string take();
 
   private:
     template <typename T>
@@ -125,18 +160,33 @@ class Serializer
         putRaw(b, sizeof(b));
     }
 
-    void putRaw(const void *p, size_t n);
+    void
+    putRaw(const void *p, size_t n)
+    {
+        if (n > buf_.size() - len_) [[unlikely]]
+            grow(n);
+        std::memcpy(buf_.data() + len_, p, n);
+        len_ += n;
+    }
 
+    /** Make room for at least `n` more bytes. */
+    void grow(size_t n);
+
+    /** buf_[0, len_) is written; the rest of buf_ is room. */
     std::string buf_;
+    size_t len_ = 0;
     bool inSection_ = false;
-    size_t sectionHeaderAt_ = 0; ///< Offset of the len/fnv patch slot.
+    size_t sectionHeaderAt_ = 0; ///< Offset of the len/checksum slot.
 };
 
 /** Sticky-error reader over a serialized byte range. */
 class Deserializer
 {
   public:
-    explicit Deserializer(std::string_view data) : data_(data) {}
+    explicit Deserializer(std::string_view data)
+        : data_(data), limit_(data.size())
+    {
+    }
 
     /**
      * Open the next section, verifying its name, bounds, and
@@ -170,6 +220,9 @@ class Deserializer
         return v;
     }
 
+    /** Read a putBytes() run of `n` bytes (zeros once failed). */
+    void getBytes(void *p, size_t n) { getRaw(p, n); }
+
     std::string getString();
 
     /** True once every byte has been read. */
@@ -198,11 +251,28 @@ class Deserializer
         return v;
     }
 
-    void getRaw(void *p, size_t n);
+    void
+    getRaw(void *p, size_t n)
+    {
+        if (n <= limit_ - pos_) [[likely]] {
+            std::memcpy(p, data_.data() + pos_, n);
+            pos_ += n;
+            return;
+        }
+        readPastLimit(p, n);
+    }
+
+    /** A read that does not fit: zero `p` and latch an error. */
+    void readPastLimit(void *p, size_t n);
+
+    /** Record the first failure; every later read then fails. */
+    void latch(Status err);
 
     std::string_view data_;
     size_t pos_ = 0;
-    size_t sectionEnd_ = 0;
+    /** End of what reads may consume: the open section's payload end,
+     *  else the buffer's end, and pos_ once an error has latched. */
+    size_t limit_;
     bool inSection_ = false;
     Status err_;
 };

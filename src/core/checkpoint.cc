@@ -29,8 +29,8 @@ struct CheckpointHeader
     uint32_t keyLen;
     uint64_t payloadLen;
     uint64_t cycle;        // Quiesce cycle (convenience copy).
-    uint64_t keyFnv;
-    uint64_t payloadFnv;
+    uint64_t keySum;       // checksum64 of the key bytes
+    uint64_t payloadSum;   // checksum64 of the payload bytes
 };
 #pragma pack(pop)
 
@@ -65,10 +65,11 @@ checkpointProblem(const std::string &raw, uint32_t trace_version,
         return "trace format version mismatch";
     if (raw.size() != sizeof(*hdr) + hdr->keyLen + hdr->payloadLen)
         return "size mismatch";
-    if (fnv1a(raw.data() + sizeof(*hdr), hdr->keyLen) != hdr->keyFnv)
+    if (checksum64(raw.data() + sizeof(*hdr), hdr->keyLen) !=
+        hdr->keySum)
         return "key checksum mismatch";
-    if (fnv1a(raw.data() + sizeof(*hdr) + hdr->keyLen,
-              hdr->payloadLen) != hdr->payloadFnv)
+    if (checksum64(raw.data() + sizeof(*hdr) + hdr->keyLen,
+                   hdr->payloadLen) != hdr->payloadSum)
         return "payload checksum mismatch";
     return nullptr;
 }
@@ -87,8 +88,8 @@ saveCheckpoint(const std::string &path, const std::string &key,
     hdr.keyLen = static_cast<uint32_t>(key.size());
     hdr.payloadLen = payload.size();
     hdr.cycle = cycle;
-    hdr.keyFnv = fnv1a(key);
-    hdr.payloadFnv = fnv1a(payload);
+    hdr.keySum = checksum64(key);
+    hdr.payloadSum = checksum64(payload);
 
     char suffix[48];
     static uint64_t tmp_seq = 0;

@@ -3,8 +3,8 @@
  * Versioned, checksummed, atomically-rotated checkpoint files.
  *
  * A checkpoint is one file holding a header (magic, schema version,
- * trace-format version, identity-key and payload lengths + FNV-1a
- * checksums), an identity key, and an opaque payload (the Serializer
+ * trace-format version, identity-key and payload lengths +
+ * checksum64s), an identity key, and an opaque payload (the Serializer
  * section stream produced by the simulators at a quiesce point).
  *
  * Durability and trust model mirror the result store:
@@ -52,8 +52,12 @@ namespace hetsim::core
  *  v3: caches and the BTB write only live entries (sparse sections);
  *      the chip section records the run loop's unfinished-core count.
  *  v4: a cache line carries a u8 recency rank instead of a u64 LRU
- *      stamp, and the cache section drops the stamp counter. */
-constexpr uint32_t kCheckpointSchemaVersion = 4;
+ *      stamp, and the cache section drops the stamp counter.
+ *  v5: sections and the header's key and payload sums are
+ *      checksum64 instead of FNV-1a; the directory section drops the
+ *      line address and lists one (sharers, owner) entry per
+ *      L3-resident line in the L3's (set, way) order. */
+constexpr uint32_t kCheckpointSchemaVersion = 5;
 
 /** Canonical checkpoint filename extension. */
 constexpr const char *kCheckpointSuffix = ".hckp";

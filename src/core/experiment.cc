@@ -220,7 +220,7 @@ encodeRunRecord(const RunRecord &rec)
     ser.putDouble(rec.energyJ);
     ser.putString(rec.reportJson);
     ser.endSection();
-    return ser.data();
+    return ser.take();
 }
 
 Result<RunRecord>

@@ -52,8 +52,10 @@ class ResultStore
 {
   public:
     /** Bump when the on-disk entry layout changes; older entries are
-     *  quarantined, never reinterpreted. */
-    static constexpr uint32_t kSchemaVersion = 1;
+     *  quarantined, never reinterpreted.
+     *  v2: the run record's section checksum is checksum64, not
+     *      FNV-1a. */
+    static constexpr uint32_t kSchemaVersion = 2;
 
     /** Entry filename extension (quarantined entries get
      *  ".quarantined" appended on top). */

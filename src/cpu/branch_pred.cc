@@ -1,10 +1,17 @@
 #include "cpu/branch_pred.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 #include "common/serialize.hh"
 
 namespace hetsim::cpu
 {
+
+// saveState() writes the local history table's own bytes as its run
+// of little-endian u16s.
+static_assert(std::endian::native == std::endian::little,
+              "the local history byte run assumes a little-endian host");
 
 BranchPredictor::BranchPredictor(const BranchPredParams &params)
     : params_(params),
@@ -217,14 +224,12 @@ BranchPredictor::saveState(Serializer &ser) const
     ser.putU32(static_cast<uint32_t>(chooser_.size()));
     ser.putU32(params_.btbEntries);
     ser.putU32(static_cast<uint32_t>(ras_.size()));
-    for (uint16_t h : localHistory_)
-        ser.putU16(h);
-    for (uint8_t c : localPht_)
-        ser.putU8(c);
-    for (uint8_t c : globalPht_)
-        ser.putU8(c);
-    for (uint8_t c : chooser_)
-        ser.putU8(c);
+    // Each table is one byte run.
+    ser.putBytes(localHistory_.data(),
+                 localHistory_.size() * sizeof(uint16_t));
+    ser.putBytes(localPht_.data(), localPht_.size());
+    ser.putBytes(globalPht_.data(), globalPht_.size());
+    ser.putBytes(chooser_.data(), chooser_.size());
     ser.putU64(globalHistory_);
     // Only valid BTB entries are written, each under its set x ways +
     // way index in ascending order: lookups and the victim loop test
@@ -270,14 +275,11 @@ BranchPredictor::restoreState(Deserializer &des)
         des.fail("branch predictor geometry mismatch");
         return;
     }
-    for (uint16_t &h : localHistory_)
-        h = des.getU16();
-    for (uint8_t &c : localPht_)
-        c = des.getU8();
-    for (uint8_t &c : globalPht_)
-        c = des.getU8();
-    for (uint8_t &c : chooser_)
-        c = des.getU8();
+    des.getBytes(localHistory_.data(),
+                 localHistory_.size() * sizeof(uint16_t));
+    des.getBytes(localPht_.data(), localPht_.size());
+    des.getBytes(globalPht_.data(), globalPht_.size());
+    des.getBytes(chooser_.data(), chooser_.size());
     globalHistory_ = des.getU64();
     btb_.clear();
     SparseIndexReader valid(des, params_.btbEntries);

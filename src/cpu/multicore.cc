@@ -146,9 +146,10 @@ Multicore::run()
                 }
             }
             if (quiesced) {
-                Serializer ser;
+                Serializer ser(std::move(ckptBuf_));
                 saveState(ser, now, running, res);
-                hook_.save(now, ser.data());
+                ckptBuf_ = ser.take();
+                hook_.save(now, ckptBuf_);
                 for (auto &core : cores_)
                     core->setDrainGate(false);
                 draining = false;

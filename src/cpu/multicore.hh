@@ -137,6 +137,9 @@ class Multicore
     std::unique_ptr<SyncController> sync_;
     std::vector<std::unique_ptr<OooCore>> cores_;
     CheckpointHook hook_;
+    /** The last checkpoint payload; each save writes into its memory,
+     *  so saves after the first do not regrow a buffer. */
+    std::string ckptBuf_;
 
     /** Resume state loaded by restoreState(). */
     uint64_t resumeCycle_ = 0;

@@ -175,9 +175,10 @@ Gpu::run(GpuKernel &kernel)
 
         if (draining && all_idle) {
             credit_clock();
-            Serializer ser;
+            Serializer ser(std::move(ckptBuf_));
             saveState(ser, now, next_group, skipped);
-            hook_.save(now, ser.data());
+            ckptBuf_ = ser.take();
+            hook_.save(now, ckptBuf_);
             draining = false;
             if (hook_.preempt && *hook_.preempt) {
                 preempted = true;

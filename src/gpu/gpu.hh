@@ -148,6 +148,9 @@ class Gpu
     GpuMemSystem mem_;
     std::vector<std::unique_ptr<ComputeUnit>> cus_;
     CheckpointHook hook_;
+    /** The last checkpoint payload; each save writes into its memory,
+     *  so saves after the first do not regrow a buffer. */
+    std::string ckptBuf_;
 
     /** Resume state loaded by restoreState(). */
     uint64_t resumeCycle_ = 0;

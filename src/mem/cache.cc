@@ -109,6 +109,11 @@ Addr
 Cache::rebuildAddr(uint32_t set, Addr tag) const
 {
     // Invert the additive fold.
+    if (setShift_ >= 0) {
+        const uint64_t mask = numSets_ - 1;
+        const uint64_t low = (set - tag) & mask;
+        return ((tag << setShift_) | low) << kLineShift;
+    }
     const uint64_t t = tag % numSets_;
     const uint32_t low = static_cast<uint32_t>(
         (set + numSets_ - t) % numSets_);
@@ -342,19 +347,6 @@ Cache::residentLines() const
                 ++n;
     }
     return n;
-}
-
-std::vector<Addr>
-Cache::residentAddrs() const
-{
-    std::vector<Addr> out;
-    for (uint32_t set = 0; set < numSets_; ++set) {
-        const Line *base = sets_.find(set);
-        for (uint32_t w = 0; base && w < params_.ways; ++w)
-            if (base[w].valid())
-                out.push_back(rebuildAddr(set, base[w].tag));
-    }
-    return out;
 }
 
 void

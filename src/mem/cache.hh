@@ -127,8 +127,19 @@ class Cache
     /** Number of valid lines currently resident. */
     uint32_t residentLines() const;
 
-    /** Enumerate resident line addresses (testing/debug). */
-    std::vector<Addr> residentAddrs() const;
+    /** Call `f(addr)` for every resident line, in (set, way)
+     *  order. */
+    template <typename F>
+    void
+    forEachResident(F &&f) const
+    {
+        for (uint32_t set = 0; set < numSets_; ++set) {
+            const Line *base = sets_.find(set);
+            for (uint32_t w = 0; base && w < params_.ways; ++w)
+                if (base[w].valid())
+                    f(rebuildAddr(set, base[w].tag));
+        }
+    }
 
     const CacheParams &params() const { return params_; }
     uint32_t numSets() const { return numSets_; }

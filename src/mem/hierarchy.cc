@@ -1,6 +1,7 @@
 #include "mem/hierarchy.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
@@ -593,40 +594,50 @@ MemHierarchy::checkSingleWriter(Addr addr) const
 bool
 MemHierarchy::checkInclusion() const
 {
+    bool ok = true;
     for (uint32_t c = 0; c < params_.numCores; ++c) {
-        for (Addr a : dl1_[c]->residentAddrs())
-            if (!l2_[c]->contains(a))
-                return false;
-        for (Addr a : il1_[c]->residentAddrs())
-            if (!l2_[c]->contains(a))
-                return false;
-        for (Addr a : l2_[c]->residentAddrs())
-            if (!l3_->contains(a))
-                return false;
+        const Cache &l2 = *l2_[c];
+        const auto in_l2 = [&](Addr a) { ok = ok && l2.contains(a); };
+        dl1_[c]->forEachResident(in_l2);
+        il1_[c]->forEachResident(in_l2);
+        l2.forEachResident([&](Addr a) { ok = ok && l3_->contains(a); });
     }
-    return true;
+    return ok;
 }
 
 bool
 MemHierarchy::checkDirectoryConsistent() const
 {
-    // Every L3-resident line has a directory entry whose sharer bits
-    // match L2 residence exactly, and owner implies sole sharer.
-    for (Addr a : l3_->residentAddrs()) {
-        auto it = directory_.find(a);
-        if (it == directory_.end())
-            return false;
-        const DirEntry &e = it->second;
-        for (uint32_t c = 0; c < params_.numCores; ++c) {
-            const bool resident = l2_[c]->contains(a);
-            const bool marked = (e.sharers & coreBit(c)) != 0;
-            if (resident != marked)
-                return false;
+    // The directory holds exactly the L3-resident lines, an owner is
+    // its line's sole sharer, and every sharer bit names an L2 that
+    // holds the line. Counting finishes the proof: when the L2s hold
+    // no more lines than the entries mark, no L2 holds a line its
+    // entry does not mark. So only marked copies are probed.
+    if (directory_.size() != l3_->residentLines())
+        return false;
+    bool ok = true;
+    uint64_t marked = 0;
+    l3_->forEachResident([&](Addr a) {
+        if (!ok)
+            return;
+        const auto it = directory_.find(a);
+        if (it == directory_.end()) {
+            ok = false;
+            return;
         }
-        if (e.owner >= 0 && e.sharers != coreBit(e.owner))
-            return false;
-    }
-    return directory_.size() == l3_->residentAddrs().size();
+        const DirEntry &e = it->second;
+        ok = e.owner < 0 || e.sharers == coreBit(e.owner);
+        for (uint32_t bits = e.sharers; ok && bits != 0;
+             bits &= bits - 1) {
+            const uint32_t c = std::countr_zero(bits);
+            ok = c < params_.numCores && l2_[c]->contains(a);
+        }
+        marked += std::popcount(e.sharers);
+    });
+    uint64_t held = 0;
+    for (uint32_t c = 0; c < params_.numCores; ++c)
+        held += l2_[c]->residentLines();
+    return ok && marked == held;
 }
 
 void
@@ -640,20 +651,20 @@ MemHierarchy::saveState(Serializer &ser) const
     l3_->saveState(ser);
 
     ser.beginSection("directory");
-    // unordered_map iteration order is not deterministic; sort so the
-    // serialized bytes are a pure function of the machine state.
-    std::vector<std::pair<Addr, DirEntry>> dir(directory_.begin(),
-                                               directory_.end());
-    std::sort(dir.begin(), dir.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    ser.putU64(dir.size());
-    for (const auto &[addr, e] : dir) {
-        ser.putU64(addr);
-        ser.putU32(e.sharers);
-        ser.putI64(e.owner);
-    }
+    // The directory holds exactly the L3-resident lines, so one entry
+    // per L3 line in the L3's (set, way) order names each line without
+    // its address, and the bytes are a pure function of the machine
+    // state. A directory holding any other line writes a count the
+    // restore refuses.
+    ser.putU64(directory_.size());
+    l3_->forEachResident([&](Addr a) {
+        const auto it = directory_.find(a);
+        hetsim_assert(it != directory_.end(),
+                      "L3 line %#llx has no directory entry",
+                      static_cast<unsigned long long>(a));
+        ser.putU32(it->second.sharers);
+        ser.putI64(it->second.owner);
+    });
     ser.endSection();
 
     ring_.saveState(ser);
@@ -696,13 +707,21 @@ MemHierarchy::restoreState(Deserializer &des)
 
     des.openSection("directory");
     directory_.clear();
+    // Entries pair with the restored L3's lines in (set, way) order.
     // Recalls index the private caches by owner and sharer bit, so
     // an entry naming a core this chip lacks is rejected, as is an
     // owner that is not the line's sole sharer.
     const uint64_t all_cores = (uint64_t{1} << params_.numCores) - 1;
     const uint64_t n = des.getU64();
-    for (uint64_t i = 0; i < n && des.ok(); ++i) {
-        const Addr addr = des.getU64();
+    if (n != l3_->residentLines()) {
+        des.fail("directory entry count differs from the L3's "
+                 "resident line count");
+        return;
+    }
+    directory_.reserve(n);
+    l3_->forEachResident([&](Addr addr) {
+        if (!des.ok())
+            return;
         DirEntry e;
         e.sharers = des.getU32();
         const int64_t owner = des.getI64();
@@ -721,8 +740,10 @@ MemHierarchy::restoreState(Deserializer &des)
             return;
         }
         directory_.emplace(addr, e);
-    }
+    });
     des.closeSection();
+    if (!des.ok())
+        return;
 
     ring_.restoreState(des);
     dram_.restoreState(des);
@@ -756,6 +777,14 @@ MemHierarchy::restoreState(Deserializer &des)
     }
     stats_.restoreState(des);
     des.closeSection();
+
+    // Recalls and invalidations trust that every private line is in
+    // the L3 and that the directory names exactly the L2s holding each
+    // line. A checksum-valid stream that breaks either would run on as
+    // a silent mis-model, so it is refused like a corrupt one.
+    if (des.ok() && !(checkInclusion() && checkDirectoryConsistent()))
+        des.fail("cache residence contradicts inclusion or the "
+                 "directory");
 }
 
 } // namespace hetsim::mem

@@ -156,11 +156,13 @@ class MemHierarchy
     void attachTrace(obs::TraceBuffer *buf) { traceBuf_ = buf; }
 
     /**
-     * Serialize every cache array, the directory (sorted by address
-     * for determinism), prefetcher streams, DRAM channel state, and
-     * all stats. Valid only between accesses — the hierarchy is
-     * atomic-with-latency, so there are no in-flight transactions to
-     * capture. Restore requires an identically configured hierarchy.
+     * Serialize every cache array, the directory (one entry per
+     * L3-resident line, in the L3's set and way order), prefetcher
+     * streams, DRAM channel state, and all stats. Valid only between
+     * accesses — the hierarchy is atomic-with-latency, so there are no
+     * in-flight transactions to capture. Restore requires an
+     * identically configured hierarchy, and fails unless the restored
+     * caches keep inclusion and match the directory.
      */
     void saveState(Serializer &ser) const;
     void restoreState(Deserializer &des);

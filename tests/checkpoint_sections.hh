@@ -28,7 +28,7 @@ savedSection(const Component &component)
 {
     Serializer ser;
     component.saveState(ser);
-    return ser.data();
+    return ser.take();
 }
 
 /** Restore `component` from `bytes`; the Deserializer's status. */
@@ -63,7 +63,7 @@ writeLe(std::string &bytes, size_t at, size_t width, uint64_t v)
 /**
  * Apply `edit` to the payload of the first section named `name` in a
  * Serializer stream (u32 name length, name, u64 payload length, u64
- * payload FNV-1a, payload), then patch the checksum. `edit` must keep
+ * payload checksum64, payload), then patch the checksum. `edit` must keep
  * the payload's length. Returns false when no such section exists.
  * The section is found by its header bytes, not by walking from the
  * start, because some components write stats between sections.
@@ -89,21 +89,37 @@ rewriteSection(std::string &stream, const char *name,
     if (payload.size() != payload_len)
         return false;
     stream.replace(payload_at, payload_len, payload);
-    writeLe(stream, payload_at - 8, 8,
-            fnv1a(payload.data(), payload.size()));
+    writeLe(stream, payload_at - 8, 8, checksum64(payload));
     return true;
 }
 
-/** Directory section payload: u64 entry count, then per entry a u64
- *  line address, u32 sharer mask and i64 owner. */
-constexpr size_t kDirEntryBytes = 8 + 4 + 8;
+/** Directory section payload: u64 entry count, then per L3-resident
+ *  line, in the L3's (set, way) order, a u32 sharer mask and an i64
+ *  owner. */
+constexpr size_t kDirEntryBytes = 4 + 8;
+
+/** The sharer mask of directory entry `i`. */
+inline uint32_t
+dirSharers(const std::string &payload, size_t i)
+{
+    return static_cast<uint32_t>(
+        readLe(payload, 8 + i * kDirEntryBytes, 4));
+}
+
+/** The owner of directory entry `i` (-1: none). */
+inline int64_t
+dirOwner(const std::string &payload, size_t i)
+{
+    return static_cast<int64_t>(
+        readLe(payload, 8 + i * kDirEntryBytes + 4, 8));
+}
 
 /** Overwrite the sharers and owner of directory entry `i`. */
 inline void
 setDirEntry(std::string &payload, size_t i, uint32_t sharers,
             int64_t owner)
 {
-    const size_t at = 8 + i * kDirEntryBytes + 8;
+    const size_t at = 8 + i * kDirEntryBytes;
     writeLe(payload, at, 4, sharers);
     writeLe(payload, at + 4, 8, static_cast<uint64_t>(owner));
 }

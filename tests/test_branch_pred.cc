@@ -332,7 +332,7 @@ craftSection(const BranchPredParams &p, uint32_t count,
     ser.putU32(0); // RAS count
     fresh.stats().saveState(ser);
     ser.endSection();
-    return ser.data();
+    return ser.take();
 }
 
 } // namespace

@@ -891,22 +891,33 @@ TEST_F(CheckpointExperimentTest, CorruptCheckpointColdStartsCleanly)
     EXPECT_TRUE(fileExists(path_ + ".quarantined"));
 }
 
-/** A checkpoint that passes every checksum but whose directory names
- *  a core the chip lacks is refused at restore: the run cold-starts
- *  (its first preempted segment stops at the first drain again) and
- *  still finishes byte-identical to the uninterrupted run. */
-TEST_F(CheckpointExperimentTest, InconsistentDirectoryColdStarts)
+namespace
+{
+
+/**
+ * Leave a BaseHet lock_heavy checkpoint (scale 0.05, 4 cores) at the
+ * run's second drain, apply `edit` to its directory section payload
+ * (re-checksummed, so only the hierarchy's own restore checks can
+ * reject it), and check that the run refuses it: it cold-starts (its
+ * next preempted segment stops at the first drain again) and still
+ * finishes byte-identical to the uninterrupted run. `opts` names the
+ * checkpoint path and cadence; `ref_path` is the uninterrupted run's.
+ */
+void
+expectDirectoryEditColdStarts(ExperimentOptions opts,
+                              const std::string &ref_path,
+                              const std::function<void(std::string &)> &edit)
 {
     const auto &app = workload::cpuApp("lock_heavy");
-    ExperimentOptions opts = baseOpts();
     opts.scale = 0.05;
     opts.coresOverride = 4;
+    const std::string path = opts.checkpointPath;
     const std::string key = runKey(
         designHash(cpuHybridFromConfig(CpuConfig::BaseHet)), app.name,
         opts);
 
     ExperimentOptions ref_opts = opts;
-    ref_opts.checkpointPath = dir_ + "/ref" + kCheckpointSuffix;
+    ref_opts.checkpointPath = ref_path;
     obs::RunReport ref_report;
     const CpuOutcome ref = runCpuExperiment(
         CpuConfig::BaseHet, app, ref_opts, &ref_report);
@@ -924,17 +935,12 @@ TEST_F(CheckpointExperimentTest, InconsistentDirectoryColdStarts)
     ASSERT_TRUE(second.preempted);
     ASSERT_GT(second.cycles, first.cycles);
 
-    Result<LoadedCheckpoint> ckpt =
-        loadCheckpoint(path_, key);
+    Result<LoadedCheckpoint> ckpt = loadCheckpoint(path, key);
     ASSERT_TRUE(ckpt.ok()) << ckpt.status().toString();
     std::string payload = ckpt->payload;
-    ASSERT_TRUE(test::rewriteSection(
-        payload, "directory", [](std::string &dir) {
-            ASSERT_GT(test::readLe(dir, 0, 8), 0u);
-            test::setDirEntry(dir, 0, 1u << 4, 4); // core 4 of 0..3
-        }));
-    ASSERT_TRUE(saveCheckpoint(path_, key, ckpt->cycle, payload).ok());
-    ::unlink((path_ + kCheckpointPrevSuffix).c_str());
+    ASSERT_TRUE(test::rewriteSection(payload, "directory", edit));
+    ASSERT_TRUE(saveCheckpoint(path, key, ckpt->cycle, payload).ok());
+    ::unlink((path + kCheckpointPrevSuffix).c_str());
 
     g_test_preempt = 1;
     const CpuOutcome again =
@@ -948,6 +954,47 @@ TEST_F(CheckpointExperimentTest, InconsistentDirectoryColdStarts)
         runCpuExperiment(CpuConfig::BaseHet, app, opts, &report);
     EXPECT_FALSE(out.preempted);
     EXPECT_EQ(report.toJson(), ref_report.toJson());
+}
+
+} // namespace
+
+/** A directory entry naming a core the chip lacks is refused. */
+TEST_F(CheckpointExperimentTest, InconsistentDirectoryColdStarts)
+{
+    expectDirectoryEditColdStarts(
+        baseOpts(), dir_ + "/ref" + kCheckpointSuffix,
+        [](std::string &dir) {
+            ASSERT_GT(test::readLe(dir, 0, 8), 0u);
+            test::setDirEntry(dir, 0, 1u << 4, 4); // core 4 of 0..3
+        });
+}
+
+/** A directory entry whose sharers are every core that does not hold
+ *  the line (each bit in range, no owner) is refused: the restored
+ *  L2s contradict it. */
+TEST_F(CheckpointExperimentTest, DirectorySharerMismatchColdStarts)
+{
+    expectDirectoryEditColdStarts(
+        baseOpts(), dir_ + "/ref" + kCheckpointSuffix,
+        [](std::string &dir) {
+            ASSERT_GT(test::readLe(dir, 0, 8), 0u);
+            const uint32_t holders = test::dirSharers(dir, 0);
+            test::setDirEntry(dir, 0, ~holders & 0xFu, -1);
+        });
+}
+
+/** A directory entry count other than the L3's resident line count is
+ *  refused (the entries carry no addresses, so a count that does not
+ *  match cannot be paired with the L3's lines). */
+TEST_F(CheckpointExperimentTest, DirectoryCountMismatchColdStarts)
+{
+    expectDirectoryEditColdStarts(
+        baseOpts(), dir_ + "/ref" + kCheckpointSuffix,
+        [](std::string &dir) {
+            const uint64_t n = test::readLe(dir, 0, 8);
+            ASSERT_GT(n, 0u);
+            test::writeLe(dir, 0, 8, n - 1);
+        });
 }
 
 /** A checkpoint that passes every checksum but stages a micro-op whose

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -319,8 +321,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HierarchyPropertyTest,
 
 /** Recalls index the private caches by directory owner and sharer
  *  bit, so a checksum-valid payload whose directory names a core the
- *  chip lacks, or an owner that is not the sole sharer, must be
- *  rejected at restore. */
+ *  chip lacks, an owner that is not the sole sharer, or sharers that
+ *  are not exactly the L2s holding the line must be rejected at
+ *  restore, while an entry rewritten with its own true mask restores.
+ *  Entries follow the L3's (set, way) order. */
 TEST(HierarchyCheckpoint, RestoreRejectsInconsistentDirectoryEntries)
 {
     const HierarchyParams p = smallParams(4);
@@ -334,28 +338,54 @@ TEST(HierarchyCheckpoint, RestoreRejectsInconsistentDirectoryEntries)
     }
     const std::string saved = test::savedSection(h);
 
+    // An unowned entry with two or more sharers and an owned entry.
+    std::string dir;
+    std::string copy = saved;
+    ASSERT_TRUE(test::rewriteSection(
+        copy, "directory", [&](std::string &payload) { dir = payload; }));
+    const size_t n = test::readLe(dir, 0, 8);
+    size_t shared = n;
+    size_t owned = n;
+    for (size_t i = 0; i < n; ++i) {
+        if (test::dirOwner(dir, i) >= 0)
+            owned = std::min(owned, i);
+        else if (std::popcount(test::dirSharers(dir, i)) >= 2)
+            shared = std::min(shared, i);
+    }
+    ASSERT_LT(shared, n);
+    ASSERT_LT(owned, n);
+    const uint32_t shared_mask = test::dirSharers(dir, shared);
+    const int64_t owner = test::dirOwner(dir, owned);
+
     struct Case
     {
         const char *what;
+        size_t entry;
         uint32_t sharers;
         int64_t owner;
         const char *error; ///< Empty: restore must succeed.
     };
     const std::vector<Case> cases = {
-        {"unowned, two sharers", 0b0011, -1, ""},
-        {"owner is the sole sharer", 0b0100, 2, ""},
-        {"owner past the last core", 0b10000, 4, "owner out of range"},
-        {"owner below -1", 0, -2, "owner out of range"},
-        {"sharer bit past the last core", 0b10001, -1,
+        {"unowned, two sharers", shared, shared_mask, -1, ""},
+        {"owner is the sole sharer", owned, 1u << owner, owner, ""},
+        {"owner past the last core", 0, 0b10000, 4, "owner out of range"},
+        {"owner below -1", 0, 0, -2, "owner out of range"},
+        {"sharer bit past the last core", 0, 0b10001, -1,
          "sharer bit out of range"},
-        {"owner not the sole sharer", 0b0011, 0, "not the sole sharer"},
+        {"owner not the sole sharer", 0, 0b0011, 0,
+         "not the sole sharer"},
+        {"a sharer whose L2 lacks the line", owned,
+         (1u << owner) | (1u << ((owner + 1) % 4)), -1,
+         "contradicts inclusion or the directory"},
+        {"a holder missing from the sharers", shared,
+         shared_mask & (shared_mask - 1), -1,
+         "contradicts inclusion or the directory"},
     };
     for (const Case &k : cases) {
         std::string bytes = saved;
         ASSERT_TRUE(test::rewriteSection(
             bytes, "directory", [&](std::string &payload) {
-                ASSERT_GT(test::readLe(payload, 0, 8), 0u);
-                test::setDirEntry(payload, 0, k.sharers, k.owner);
+                test::setDirEntry(payload, k.entry, k.sharers, k.owner);
             }));
         MemHierarchy fresh(p);
         const Status st = test::restoreSection(fresh, bytes);

@@ -79,7 +79,7 @@ class ResultStoreTest : public ::testing::Test
 TEST(StoreFnv1a, MatchesReferenceVectors)
 {
     // FNV-1a 64-bit published test vectors, through the one hash that
-    // names store entries, checksums checkpoints and hashes designs.
+    // names and checksums store entries and hashes designs.
     EXPECT_EQ(fnv1a("", 0), 0xcbf29ce484222325ull);
     EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
     EXPECT_EQ(fnv1a("foobar", 6), 0x85944171f73967e8ull);
